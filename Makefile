@@ -15,8 +15,8 @@ export REPRO_CACHE := $(CACHE_DIR)
 endif
 
 .PHONY: test benchmarks bench-wallclock bench-smoke cache-stats \
-	cache-clear campaign check clean-results obs-check report \
-	sample-check telemetry-check trace-demo
+	cache-clear campaign check clean-results fingerprint obs-check \
+	report sample-check telemetry-check trace-demo
 
 test:
 	$(PYTHON) -m pytest tests/ -x -q
@@ -35,6 +35,12 @@ bench-wallclock:
 # smoke_guard entry in BENCH_sweep.json.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
+
+# Regenerate tests/data/fingerprint.json, the tier-1 pin of the
+# functional trace, fast-forward, functional warming and SimStats of
+# every workload (tests/test_fingerprint.py asserts exact equality).
+fingerprint:
+	$(PYTHON) benchmarks/fingerprint.py
 
 # Result-cache maintenance (honours CACHE_DIR / REPRO_CACHE).
 cache-stats:
