@@ -13,75 +13,282 @@ sequences behave like the Alpha integers the paper's predictor saw.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional
+import operator
+from functools import lru_cache, partial
+from typing import Callable, Iterator, List, Optional
 
 from .instruction import DynInst, Instruction
-from .program import INSTRUCTION_BYTES, Program
+from .opcodes import OPCODES
+from .program import INSTRUCTION_BYTES, Program, _expected_banks
 from .registers import FP_BASE, NUM_LOGICAL_REGS, ZERO_REG
 
 __all__ = ["ExecutionError", "FunctionalExecutor", "execute",
            "recompute_result"]
 
 _INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
 _WRAP = 1 << 64
 
 
 def _wrap64(value: int) -> int:
     """Wrap a Python int to signed 64-bit two's complement."""
+    if _INT_MIN <= value <= _INT_MAX:
+        return value
     return (value - _INT_MIN) % _WRAP + _INT_MIN
+
+
+def _address(base: int, imm: int) -> int:
+    """Effective address of a load or store."""
+    return _wrap64(base + imm)
 
 
 class ExecutionError(RuntimeError):
     """Raised when a program misbehaves (bad PC, runaway execution...)."""
 
 
-def _int_binops() -> Dict[str, Callable[[int, int], int]]:
-    return {
-        "add": lambda a, b: _wrap64(a + b),
-        "sub": lambda a, b: _wrap64(a - b),
-        "and": lambda a, b: a & b,
-        "or": lambda a, b: a | b,
-        "xor": lambda a, b: a ^ b,
-        "sll": lambda a, b: _wrap64(a << (b & 63)),
-        "srl": lambda a, b: (a % _WRAP) >> (b & 63),
-        "sra": lambda a, b: a >> (b & 63),
-        "slt": lambda a, b: int(a < b),
-        "sltu": lambda a, b: int((a % _WRAP) < (b % _WRAP)),
-        "min": lambda a, b: a if a < b else b,
-        "max": lambda a, b: a if a > b else b,
-        "mul": lambda a, b: _wrap64(a * b),
-        "div": lambda a, b: _wrap64(int(a / b)) if b else 0,
-        "rem": lambda a, b: _wrap64(a - int(a / b) * b) if b else 0,
-    }
+# -- the semantics table -------------------------------------------------------
+#
+# Each opcode's behaviour is written once, as a step factory in
+# ``_STEPS``.  A factory takes one static instruction's operands resolved
+# against live state — ``D[d]`` the destination, ``A[a]`` and ``B[b]``
+# the sources (each a register-bank list and an index into it), ``imm``,
+# the sparse ``mem`` dict, and the ``nxt``/``tgt``/``here`` static
+# indices — and returns a closure that applies the instruction and
+# returns the next index (``-1 - here`` for ``halt``).  Loads and stores
+# also leave their effective address in ``out[0]``, control transfers
+# their ``taken`` flag: all the trace records beyond register values.
+# Fast-forward runs the steps as they are; the trace, functional warming
+# and golden re-execution are derived from them.  The hottest steps are
+# written out (with the 64-bit wrap's in-range fast path inline) rather
+# than calling a generic ``fn``: one more call per instruction would
+# show in fast-forward throughput.
 
 
-_IMM_ALIAS = {"addi": "add", "andi": "and", "ori": "or", "xori": "xor",
-              "slli": "sll", "srli": "srl", "srai": "sra", "slti": "slt"}
+def _binary(fn):
+    def make(D, d, A, a, B, b, nxt, **_):
+        def step():
+            D[d] = fn(A[a], B[b])
+            return nxt
+        return step
+    return make
 
-_FP_BINOPS: Dict[str, Callable[[float, float], float]] = {
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": lambda a, b: (a / b) if b else 0.0,
+
+def _with_imm(fn):
+    def make(D, d, A, a, imm, nxt, **_):
+        def step():
+            D[d] = fn(A[a], imm)
+            return nxt
+        return step
+    return make
+
+
+def _unary(fn):
+    def make(D, d, A, a, nxt, **_):
+        def step():
+            D[d] = fn(A[a])
+            return nxt
+        return step
+    return make
+
+
+def _add(D, d, A, a, B, b, nxt, **_):
+    def step():
+        x = A[a] + B[b]
+        D[d] = x if _INT_MIN <= x <= _INT_MAX else _wrap64(x)
+        return nxt
+    return step
+
+
+def _mul(D, d, A, a, B, b, nxt, **_):
+    def step():
+        x = A[a] * B[b]
+        D[d] = x if _INT_MIN <= x <= _INT_MAX else _wrap64(x)
+        return nxt
+    return step
+
+
+def _addi(D, d, A, a, imm, nxt, **_):
+    def step():
+        x = A[a] + imm
+        D[d] = x if _INT_MIN <= x <= _INT_MAX else _wrap64(x)
+        return nxt
+    return step
+
+
+def _li(D, d, imm, nxt, **_):
+    def step():
+        D[d] = imm
+        return nxt
+    return step
+
+
+def _move(D, d, A, a, nxt, **_):
+    def step():
+        D[d] = A[a]
+        return nxt
+    return step
+
+
+def _lw(D, d, A, a, imm, mem, out, nxt, **_):
+    def step():
+        out[0] = addr = _address(A[a], imm)
+        x = int(mem.get(addr, 0))
+        D[d] = x if _INT_MIN <= x <= _INT_MAX else _wrap64(x)
+        return nxt
+    return step
+
+
+def _load(convert):
+    def make(D, d, A, a, imm, mem, out, nxt, **_):
+        def step():
+            out[0] = addr = _address(A[a], imm)
+            D[d] = convert(mem.get(addr, 0))
+            return nxt
+        return step
+    return make
+
+
+def _store(A, a, B, b, imm, mem, out, nxt, **_):
+    def step():
+        out[0] = addr = _address(B[b], imm)
+        mem[addr] = A[a]
+        return nxt
+    return step
+
+
+def _store_byte(A, a, B, b, imm, mem, out, nxt, **_):
+    def step():
+        out[0] = addr = _address(B[b], imm)
+        mem[addr] = _byte(A[a])
+        return nxt
+    return step
+
+
+def _branch(cond):
+    def make(A, a, B, b, out, nxt, tgt, **_):
+        def step():
+            out[0] = taken = cond(A[a], B[b])
+            return tgt if taken else nxt
+        return step
+    return make
+
+
+def _jump(out, tgt, **_):
+    def step():
+        out[0] = True
+        return tgt
+    return step
+
+
+def _byte(value) -> int:
+    return int(value) & 0xFF
+
+
+def _with_imm_form(name: str, fn) -> dict:
+    """Steps for an integer op's register and immediate (``name + "i"``)
+    forms."""
+    return {name: _binary(fn), name + "i": _with_imm(fn)}
+
+
+#: The µRISC semantics: opcode -> step factory (see the comment above).
+_STEPS = {
+    # integer ALU
+    "add": _add, "addi": _addi,
+    "sub": _binary(lambda x, y: _wrap64(x - y)),
+    **_with_imm_form("and", operator.and_),
+    **_with_imm_form("or", operator.or_),
+    **_with_imm_form("xor", operator.xor),
+    **_with_imm_form("sll", lambda x, y: _wrap64(x << (y & 63))),
+    **_with_imm_form("srl", lambda x, y: (x % _WRAP) >> (y & 63)),
+    **_with_imm_form("sra", lambda x, y: x >> (y & 63)),
+    **_with_imm_form("slt", lambda x, y: int(x < y)),
+    "sltu": _binary(lambda x, y: int(x % _WRAP < y % _WRAP)),
+    "min": _binary(lambda x, y: x if x < y else y),
+    "max": _binary(lambda x, y: x if x > y else y),
+    "li": _li, "la": _li, "mov": _move,
+    "nop": lambda nxt, **_: lambda: nxt,
+    # integer multiply / divide (division truncates toward zero)
+    "mul": _mul,
+    "div": _binary(lambda x, y: _wrap64(int(x / y)) if y else 0),
+    "rem": _binary(lambda x, y: _wrap64(x - int(x / y) * y) if y else 0),
+    # control flow
+    "beq": _branch(operator.eq), "bne": _branch(operator.ne),
+    "blt": _branch(operator.lt), "bge": _branch(operator.ge),
+    "j": _jump, "halt": lambda here, **_: lambda: -1 - here,
+    # memory
+    "lw": _lw, "lb": _load(_byte), "flw": _load(float),
+    "sw": _store, "sb": _store_byte, "fsw": _store,
+    # floating point
+    "fadd": _binary(operator.add), "fsub": _binary(operator.sub),
+    "fmul": _binary(operator.mul),
+    "fdiv": _binary(lambda x, y: (x / y) if y else 0.0),
+    "fmov": _move, "fneg": _unary(operator.neg),
+    "feq": _binary(lambda x, y: int(x == y)),
+    "flt": _binary(lambda x, y: int(x < y)),
+    "fle": _binary(lambda x, y: int(x <= y)),
+    "cvtif": _unary(float),
+    "cvtfi": _unary(lambda x: _wrap64(int(x))),
 }
 
-_FP_COMPARES: Dict[str, Callable[[float, float], int]] = {
-    "feq": lambda a, b: int(a == b),
-    "flt": lambda a, b: int(a < b),
-    "fle": lambda a, b: int(a <= b),
-}
-
-_BRANCH_TESTS: Dict[str, Callable[[int, int], bool]] = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-}
+#: What a step leaves in ``out`` for the trace: a memory address or a
+#: branch outcome.
+_MEM, _BRANCH = "mem", "branch"
 
 
-#: Shared op tables for :func:`recompute_result` (built once).
-_REEXEC_INT_OPS = _int_binops()
+def _observes(op) -> Optional[str]:
+    if op.is_load or op.is_store:
+        return _MEM
+    return _BRANCH if op.is_branch else None
+
+
+def _locate(rid: int, ir: list, fr: list):
+    """``(bank, index)`` of register *rid* in the register lists."""
+    return (fr, rid - FP_BASE) if rid >= FP_BASE else (ir, rid)
+
+
+def _build_step(inst: Instruction, here: int, base: int, size: int,
+                ir: list, fr: list, mem: dict, out: list) -> Callable[[], int]:
+    """Resolve *inst*'s operands against live state and build its step.
+
+    A write to ``r0`` is undone after the step: it stays hard-wired to 0.
+    """
+    operands = dict(imm=inst.imm, mem=mem, out=out, nxt=here + 1,
+                    here=here)
+    if inst.dest is not None:
+        operands["D"], operands["d"] = _locate(inst.dest, ir, fr)
+    for rid, bank, index in zip(inst.srcs, "AB", "ab"):
+        operands[bank], operands[index] = _locate(rid, ir, fr)
+    if inst.target is not None:
+        tgt = (inst.target - base) // INSTRUCTION_BYTES
+        operands["tgt"] = tgt if 0 <= tgt < size else size
+    step = _STEPS[inst.op.name](**operands)
+    if inst.dest != ZERO_REG:
+        return step
+
+    def keep_r0_zero():
+        nxt = step()
+        ir[ZERO_REG] = 0
+        return nxt
+    return keep_r0_zero
+
+
+#: Private register file for :func:`recompute_result`.
+_SCRATCH_INT: List[int] = [0] * FP_BASE
+_SCRATCH_FP: List[float] = [0.0] * (NUM_LOGICAL_REGS - FP_BASE)
+
+
+@lru_cache(maxsize=1024)
+def _scratch_step(name: str, imm: Optional[int]):
+    """*name*'s step on the scratch registers, with its operand slots."""
+    op = OPCODES[name]
+    # One register id per slot, in the bank the opcode expects: the
+    # destination first (never r0), then the sources.
+    rids = [(FP_BASE if bank == "f" else 0) + 1 + slot
+            for slot, bank in enumerate(_expected_banks(op))]
+    inst = Instruction(op, rids[0], tuple(rids[1:]), imm, None, 0)
+    step = _build_step(inst, 0, 0, 1, _SCRATCH_INT, _SCRATCH_FP, {}, [None])
+    banks = [_locate(rid, _SCRATCH_INT, _SCRATCH_FP) for rid in rids]
+    return step, banks[0], banks[1:]
 
 
 def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
@@ -91,31 +298,19 @@ def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
     on the source values and immediate (the re-executable set used by
     the golden-model co-simulator), and ``(False, None)`` for those
     that touch memory or control flow, whose results the trace must be
-    trusted for.
+    trusted for.  Immediate forms need the static immediate, which the
+    dynamic trace does not carry; callers without it pass ``imm=None``.
+    The operation runs as its own step on a private register file.
     """
-    if name in _REEXEC_INT_OPS:
-        return True, _REEXEC_INT_OPS[name](src_values[0], src_values[1])
-    if name in _IMM_ALIAS or name in ("li", "la"):
-        # Immediate forms need the static immediate, which the dynamic
-        # trace does not carry; callers without it pass imm=None.
-        if imm is None:
-            return False, None
-        if name in ("li", "la"):
-            return True, imm
-        return True, _REEXEC_INT_OPS[_IMM_ALIAS[name]](src_values[0], imm)
-    if name in ("mov", "fmov"):
-        return True, src_values[0]
-    if name in _FP_BINOPS:
-        return True, _FP_BINOPS[name](src_values[0], src_values[1])
-    if name in _FP_COMPARES:
-        return True, _FP_COMPARES[name](src_values[0], src_values[1])
-    if name == "fneg":
-        return True, -src_values[0]
-    if name == "cvtif":
-        return True, float(src_values[0])
-    if name == "cvtfi":
-        return True, _wrap64(int(src_values[0]))
-    return False, None
+    op = OPCODES.get(name)
+    if op is None or not op.has_dest or op.is_load or (
+            imm is None and ("I" in op.signature or "A" in op.signature)):
+        return False, None
+    step, (dest_bank, dest), sources = _scratch_step(name, imm)
+    for (bank, index), value in zip(sources, src_values):
+        bank[index] = value
+    step()
+    return True, dest_bank[dest]
 
 
 class FunctionalExecutor:
@@ -141,19 +336,18 @@ class FunctionalExecutor:
         self.pc: int = program.code_base
         self.seq: int = 0
         self.halted: bool = False
-        self._int_ops = _int_binops()
         self._compiled: Optional[List[Callable[[], int]]] = None
+        self._out: list = [None]
         self._train_hooks: Optional[tuple] = None
         self._trained: Optional[List[Callable[[], int]]] = None
 
     # -- pickling -------------------------------------------------------------
 
-    #: Derived attributes rebuilt on restore: the binop table holds
-    #: lambdas, the compiled fast-forward tables close over the live
-    #: register lists, and the training hooks reference external
-    #: predictor objects — none pickle, all are rebuilt (or, for hooks,
-    #: reinstalled by the caller) after restore.
-    _UNPICKLED = ("_int_ops", "_compiled", "_train_hooks", "_trained")
+    #: Derived attributes rebuilt on restore: the step tables close over
+    #: the live register lists and the ``out`` cell, and the training
+    #: hooks reference external predictor objects — none pickle, all are
+    #: rebuilt (or, for hooks, reinstalled by the caller) after restore.
+    _UNPICKLED = ("_compiled", "_out", "_train_hooks", "_trained")
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -163,29 +357,19 @@ class FunctionalExecutor:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._int_ops = _int_binops()
         self._compiled = None
+        self._out = [None]
         self._train_hooks = None
         self._trained = None
-
-    # -- register helpers ------------------------------------------------------
-
-    def _read(self, rid: int):
-        if rid < FP_BASE:
-            return self.int_regs[rid]
-        return self.fp_regs[rid - FP_BASE]
-
-    def _write(self, rid: int, value) -> None:
-        if rid < FP_BASE:
-            if rid != ZERO_REG:
-                self.int_regs[rid] = value
-        else:
-            self.fp_regs[rid - FP_BASE] = value
 
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Iterator[DynInst]:
         """Yield :class:`DynInst` records until ``halt`` or the cap.
+
+        Each record is one step of the compiled table: the source
+        values are read before it, the result after it, and the memory
+        address or branch outcome comes from the step's ``out`` cell.
 
         Resumes from the instance cursor (``pc``/``seq``), so a partial
         consumption — or a :meth:`skip` fast-forward — followed by a new
@@ -195,93 +379,40 @@ class FunctionalExecutor:
         """
         if self.halted:
             return
-        program = self.program
-        memory = program.memory
-        int_ops = self._int_ops
-        read = self._read
-        write = self._write
+        steps = self._steps()
+        out = self._out
+        ir, fr = self.int_regs, self.fp_regs
+        base = self.program.code_base
+        meta = [(inst.pc, inst.op, inst.dest, inst.srcs,
+                 tuple(_locate(rid, ir, fr) for rid in inst.srcs),
+                 None if inst.dest is None else _locate(inst.dest, ir, fr),
+                 _observes(inst.op), inst.target)
+                for inst in self.program.instructions]
+        size = len(meta)
+        idx = (self.pc - base) // INSTRUCTION_BYTES
         pc = self.pc
-        end_pc = program.code_base + len(program) * INSTRUCTION_BYTES
         seq = self.seq
         cap = self.max_instructions
         while seq < cap:
-            if not (program.code_base <= pc < end_pc):
+            if not 0 <= idx < size:
                 raise ExecutionError(f"PC out of code segment: {pc:#x}")
-            inst: Instruction = program.at(pc)
-            op = inst.op
-            name = op.name
-            next_pc = pc + INSTRUCTION_BYTES
-            dest = inst.dest
-            srcs = inst.srcs
-            src_values = tuple(read(s) for s in srcs)
-            result = None
-            mem_addr: Optional[int] = None
-            taken: Optional[bool] = None
-            target: Optional[int] = None
-
-            if name in int_ops:
-                result = int_ops[name](src_values[0], src_values[1])
-            elif name in _IMM_ALIAS:
-                result = int_ops[_IMM_ALIAS[name]](src_values[0], inst.imm)
-            elif name in ("li", "la"):
-                result = inst.imm
-            elif name == "mov":
-                result = src_values[0]
-            elif name == "nop":
-                pass
-            elif name in ("lw", "lb", "flw"):
-                mem_addr = _wrap64(src_values[0] + inst.imm)
-                result = memory.load(mem_addr)
-                if name == "lb":
-                    result = int(result) & 0xFF
-                elif name == "flw":
-                    result = float(result)
-                else:
-                    result = _wrap64(int(result))
-            elif name in ("sw", "sb", "fsw"):
-                mem_addr = _wrap64(src_values[1] + inst.imm)
-                value = src_values[0]
-                if name == "sb":
-                    value = int(value) & 0xFF
-                memory.store(mem_addr, value)
-            elif name in _BRANCH_TESTS:
-                taken = _BRANCH_TESTS[name](src_values[0], src_values[1])
-                target = inst.target
-                if taken:
-                    next_pc = inst.target
-            elif name == "j":
-                taken = True
-                target = inst.target
-                next_pc = inst.target
-            elif name == "halt":
+            (pc, op, dest, srcs, sources, dest_at, observes,
+             target) = meta[idx]
+            src_values = tuple([bank[i] for bank, i in sources])
+            nxt = steps[idx]()
+            if nxt < 0:
                 self.halted = True
                 return
-            elif name in _FP_BINOPS:
-                result = _FP_BINOPS[name](src_values[0], src_values[1])
-            elif name in _FP_COMPARES:
-                result = _FP_COMPARES[name](src_values[0], src_values[1])
-            elif name == "fmov":
-                result = src_values[0]
-            elif name == "fneg":
-                result = -src_values[0]
-            elif name == "cvtif":
-                result = float(src_values[0])
-            elif name == "cvtfi":
-                result = _wrap64(int(src_values[0]))
-            else:  # pragma: no cover - opcode table is closed
-                raise ExecutionError(f"unimplemented opcode {name!r}")
-
-            if dest is not None:
-                write(dest, result)
-                if dest == ZERO_REG:
-                    result = 0
+            result = None if dest_at is None else dest_at[0][dest_at[1]]
+            mem_addr = out[0] if observes is _MEM else None
+            taken = out[0] if observes is _BRANCH else None
             self.seq = seq + 1
-            self.pc = next_pc
+            self.pc = base + nxt * INSTRUCTION_BYTES
             yield DynInst(seq, pc, op, dest, srcs, src_values, result,
                           mem_addr, taken, target)
             seq += 1
-            pc = next_pc
-
+            idx = nxt
+            pc = self.pc
 
     # -- fast-forward ---------------------------------------------------------
 
@@ -305,9 +436,7 @@ class FunctionalExecutor:
             if table is None:
                 table = self._trained = self._compile_train()
         else:
-            table = self._compiled
-            if table is None:
-                table = self._compiled = self._compile()
+            table = self._steps()
         base = self.program.code_base
         idx = (self.pc - base) // INSTRUCTION_BYTES
         if not 0 <= idx < len(table):
@@ -375,24 +504,23 @@ class FunctionalExecutor:
         self._trained = None
 
     def _compile_train(self) -> List[Callable[[], int]]:
-        """Wrap the compiled table with the installed training hooks.
+        """Wrap the step table with the installed training hooks.
 
-        Instructions that train nothing (``nop``, fp-only arithmetic)
-        keep their plain closure, so the overhead is paid only where a
-        hook actually fires.  Branches re-evaluate their condition via
-        the shared :data:`_BRANCH_TESTS` table (the same functions
-        :meth:`run` uses), so the trained and plain paths cannot drift.
+        Value trainers read the source registers before the step; the
+        branch, target and D-cache hooks read the step's ``out`` cell
+        after it, so the trained path has no condition or address logic
+        of its own.  Instructions that train nothing (``nop``, fp-only
+        arithmetic) keep their plain step, so the overhead is paid only
+        where a hook actually fires.
         """
         (value, branch, target, mem, code,
          value_factory, branch_factory) = self._train_hooks
-        plain = self._compiled
-        if plain is None:
-            plain = self._compiled = self._compile()
+        plain = self._steps()
+        out = self._out
         program = self.program
         ir = self.int_regs
         base = program.code_base
         size = len(program)
-        imin, wrap = _INT_MIN, _WRAP
         table: List[Callable[[], int]] = []
         # Fetch-line tracker shared by every closure, mirroring the
         # fetch engine's ``_last_line``: the I-cache is touched once
@@ -405,9 +533,8 @@ class FunctionalExecutor:
         line_cell = [None]
         needs_line_check = [False] * size
         prev_line = None
-        for i in range(size):
-            inst = program.at(base + i * INSTRUCTION_BYTES)
-            pc = base + i * INSTRUCTION_BYTES
+        for i, inst in enumerate(program.instructions):
+            pc = inst.pc
             if prev_line is None or pc >> 5 != prev_line:
                 needs_line_check[i] = True
             prev_line = pc >> 5
@@ -436,12 +563,10 @@ class FunctionalExecutor:
         else:
             make_branch = None
 
-        for i in range(size):
-            inst: Instruction = program.at(base + i * INSTRUCTION_BYTES)
-            name = inst.op.name
+        for i, inst in enumerate(program.instructions):
+            op = inst.op
             step = plain[i]
-            pc = base + i * INSTRUCTION_BYTES
-            imm = inst.imm
+            pc = inst.pc
             # Integer source operands in slot order, as decode sees
             # them: fp-bank registers and r0 never train the value
             # predictor.
@@ -451,44 +576,34 @@ class FunctionalExecutor:
                 if rid != ZERO_REG and rid < FP_BASE
             ) if make_value is not None else ()
 
-            if name in _BRANCH_TESTS:
-                cond = _BRANCH_TESTS[name]
-                tgt = (inst.target - base) // INSTRUCTION_BYTES
-                if not 0 <= tgt < size:
-                    tgt = size
-                a, b = inst.srcs
+            if op.is_cond_branch:
                 btrain = make_branch(pc) if make_branch is not None \
                     else None
 
-                def tstep(cond=cond, a=a, b=b, pc=pc, tgt=tgt, nxt=i + 1,
-                          tpc=inst.target, vtr=vp_trainers, btrain=btrain,
-                          target=target):
+                def tstep(step=step, pc=pc, tpc=inst.target,
+                          vtr=vp_trainers, btrain=btrain, target=target):
                     for train, rid in vtr:
                         train(ir[rid])
-                    taken = cond(ir[a], ir[b])
+                    nxt = step()
+                    taken = out[0]
                     if btrain is not None:
                         btrain(taken)
-                    if taken:
-                        if target is not None:
-                            target(pc, tpc)
-                        return tgt
+                    if taken and target is not None:
+                        target(pc, tpc)
                     return nxt
-            elif name == "j" and target is not None:
+            elif op.is_branch and target is not None:
                 def tstep(step=step, pc=pc, tpc=inst.target,
                           target=target):
                     target(pc, tpc)
                     return step()
-            elif mem is not None and name in ("lw", "lb", "flw",
-                                              "sw", "sb", "fsw"):
-                wr = name in ("sw", "sb", "fsw")
-                a = inst.srcs[1] if wr else inst.srcs[0]
-
-                def tstep(step=step, a=a, imm=imm, wr=wr,
-                          vtr=vp_trainers, mem=mem):
+            elif mem is not None and (op.is_load or op.is_store):
+                def tstep(step=step, wr=op.is_store, vtr=vp_trainers,
+                          mem=mem):
                     for train, rid in vtr:
                         train(ir[rid])
-                    mem((ir[a] + imm - imin) % wrap + imin, wr)
-                    return step()
+                    nxt = step()
+                    mem(out[0], wr)
+                    return nxt
             elif len(vp_trainers) == 1:
                 (t0, r0), = vp_trainers
 
@@ -518,191 +633,33 @@ class FunctionalExecutor:
         table.append(plain[size])  # shared off-segment sentinel
         return table
 
-    def _compile(self) -> List[Callable[[], int]]:
-        """Build the per-static-instruction closure table for ``skip``.
+    def _steps(self) -> List[Callable[[], int]]:
+        """The per-static-instruction step table, built on first use.
 
-        Each closure applies one instruction's architectural effects and
-        returns the next static index (``-1 - own_index`` for ``halt``).
-        Closures capture the live register lists and the sparse memory
+        Entry ``i`` is instruction ``i``'s step from :data:`_STEPS`.
+        Steps capture the live register lists and the sparse memory
         dict directly, so there is no per-instruction dispatch beyond
         one call — this is what lifts fast-forward into the millions of
         instructions per second.  Index ``len(program)`` holds a
         sentinel that raises the same :class:`ExecutionError` as
         :meth:`run` does when execution falls off the code segment.
         """
+        if self._compiled is not None:
+            return self._compiled
         program = self.program
-        ir = self.int_regs
-        fr = self.fp_regs
-        mem = program.memory._mem
         base = program.code_base
         size = len(program)
-        imin, wrap = _INT_MIN, _WRAP
-        int_ops = self._int_ops
-        table: List[Callable[[], int]] = []
-
-        for i in range(size):
-            inst: Instruction = program.at(base + i * INSTRUCTION_BYTES)
-            name = inst.op.name
-            d = inst.dest
-            s = inst.srcs
-            imm = inst.imm
-            nxt = i + 1
-            dead = d == ZERO_REG  # writes to r0 are dropped
-
-            if name in ("beq", "bne", "blt", "bge", "j"):
-                tgt = (inst.target - base) // INSTRUCTION_BYTES
-                if not 0 <= tgt < size:
-                    tgt = size  # sentinel raises, like run() would
-                a, b = (s[0], s[1]) if name != "j" else (0, 0)
-                if name == "j":
-                    step = lambda tgt=tgt: tgt
-                elif name == "beq":
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] == ir[b] else nxt
-                elif name == "bne":
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] != ir[b] else nxt
-                elif name == "blt":
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] < ir[b] else nxt
-                else:  # bge
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] >= ir[b] else nxt
-            elif name == "halt":
-                step = lambda stop=-1 - i: stop
-            elif name == "nop" or (dead and name not in ("sw", "sb", "fsw")):
-                # Pure ops targeting r0 are architectural no-ops: the
-                # result write is dropped and nothing here can fault
-                # (div-by-zero yields 0, loads read the sparse image).
-                step = lambda nxt=nxt: nxt
-            elif name in ("lw", "lb", "flw"):
-                a = s[0]
-                if name == "lw":
-                    def step(a=a, d=d, imm=imm, nxt=nxt):
-                        v = mem.get((ir[a] + imm - imin) % wrap + imin, 0)
-                        ir[d] = (int(v) - imin) % wrap + imin
-                        return nxt
-                elif name == "lb":
-                    def step(a=a, d=d, imm=imm, nxt=nxt):
-                        v = mem.get((ir[a] + imm - imin) % wrap + imin, 0)
-                        ir[d] = int(v) & 0xFF
-                        return nxt
-                else:  # flw
-                    df = d - FP_BASE
-                    def step(a=a, df=df, imm=imm, nxt=nxt):
-                        v = mem.get((ir[a] + imm - imin) % wrap + imin, 0)
-                        fr[df] = float(v)
-                        return nxt
-            elif name in ("sw", "sb", "fsw"):
-                v, a = s[0], s[1]
-                if name == "sw":
-                    def step(v=v, a=a, imm=imm, nxt=nxt):
-                        mem[(ir[a] + imm - imin) % wrap + imin] = ir[v]
-                        return nxt
-                elif name == "sb":
-                    def step(v=v, a=a, imm=imm, nxt=nxt):
-                        mem[(ir[a] + imm - imin) % wrap + imin] = \
-                            int(ir[v]) & 0xFF
-                        return nxt
-                else:  # fsw
-                    vf = v - FP_BASE
-                    def step(vf=vf, a=a, imm=imm, nxt=nxt):
-                        mem[(ir[a] + imm - imin) % wrap + imin] = fr[vf]
-                        return nxt
-            elif name == "add":
-                a, b = s
-                def step(a=a, b=b, d=d, nxt=nxt):
-                    ir[d] = (ir[a] + ir[b] - imin) % wrap + imin
-                    return nxt
-            elif name == "sub":
-                a, b = s
-                def step(a=a, b=b, d=d, nxt=nxt):
-                    ir[d] = (ir[a] - ir[b] - imin) % wrap + imin
-                    return nxt
-            elif name == "mul":
-                a, b = s
-                def step(a=a, b=b, d=d, nxt=nxt):
-                    ir[d] = (ir[a] * ir[b] - imin) % wrap + imin
-                    return nxt
-            elif name == "addi":
-                a = s[0]
-                def step(a=a, d=d, imm=imm, nxt=nxt):
-                    ir[d] = (ir[a] + imm - imin) % wrap + imin
-                    return nxt
-            elif name in ("li", "la"):
-                step = lambda d=d, imm=imm, nxt=nxt: \
-                    (ir.__setitem__(d, imm), nxt)[1]
-            elif name == "mov":
-                a = s[0]
-                step = lambda a=a, d=d, nxt=nxt: \
-                    (ir.__setitem__(d, ir[a]), nxt)[1]
-            elif name in int_ops or name in _IMM_ALIAS:
-                # Remaining integer forms share run()'s lambda table so
-                # the two paths can never drift apart semantically.
-                if name in _IMM_ALIAS:
-                    fn = int_ops[_IMM_ALIAS[name]]
-                    a = s[0]
-                    def step(fn=fn, a=a, d=d, imm=imm, nxt=nxt):
-                        ir[d] = fn(ir[a], imm)
-                        return nxt
-                else:
-                    fn = int_ops[name]
-                    a, b = s
-                    def step(fn=fn, a=a, b=b, d=d, nxt=nxt):
-                        ir[d] = fn(ir[a], ir[b])
-                        return nxt
-            elif name in _FP_BINOPS:
-                fn = _FP_BINOPS[name]
-                af, bf = s[0] - FP_BASE, s[1] - FP_BASE
-                df = d - FP_BASE
-                if name == "fadd":
-                    def step(af=af, bf=bf, df=df, nxt=nxt):
-                        fr[df] = fr[af] + fr[bf]
-                        return nxt
-                elif name == "fmul":
-                    def step(af=af, bf=bf, df=df, nxt=nxt):
-                        fr[df] = fr[af] * fr[bf]
-                        return nxt
-                else:
-                    def step(fn=fn, af=af, bf=bf, df=df, nxt=nxt):
-                        fr[df] = fn(fr[af], fr[bf])
-                        return nxt
-            elif name in _FP_COMPARES:
-                fn = _FP_COMPARES[name]
-                af, bf = s[0] - FP_BASE, s[1] - FP_BASE
-                def step(fn=fn, af=af, bf=bf, d=d, nxt=nxt):
-                    ir[d] = fn(fr[af], fr[bf])
-                    return nxt
-            elif name == "fmov":
-                af, df = s[0] - FP_BASE, d - FP_BASE
-                def step(af=af, df=df, nxt=nxt):
-                    fr[df] = fr[af]
-                    return nxt
-            elif name == "fneg":
-                af, df = s[0] - FP_BASE, d - FP_BASE
-                def step(af=af, df=df, nxt=nxt):
-                    fr[df] = -fr[af]
-                    return nxt
-            elif name == "cvtif":
-                a, df = s[0], d - FP_BASE
-                def step(a=a, df=df, nxt=nxt):
-                    fr[df] = float(ir[a])
-                    return nxt
-            elif name == "cvtfi":
-                af = s[0] - FP_BASE
-                def step(af=af, d=d, nxt=nxt):
-                    ir[d] = (int(fr[af]) - imin) % wrap + imin
-                    return nxt
-            else:  # pragma: no cover - opcode table is closed
-                raise ExecutionError(f"unimplemented opcode {name!r}")
-            table.append(step)
-
+        mem = program.memory._mem
+        table = [_build_step(inst, i, base, size, self.int_regs,
+                             self.fp_regs, mem, self._out)
+                 for i, inst in enumerate(program.instructions)]
         end_pc = base + size * INSTRUCTION_BYTES
 
         def off_segment() -> int:  # pragma: no cover - malformed programs
             raise ExecutionError(f"PC out of code segment: {end_pc:#x}")
 
         table.append(off_segment)
+        self._compiled = table
         return table
 
 
