@@ -54,7 +54,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import SimResult, make_config, simulate
 from ..errors import (ConfigError, DeadlockError, DivergenceError,
@@ -66,7 +66,8 @@ from .cache import ResultCache, default_cache
 from .sampling import SamplingConfig, simulate_sampled
 
 __all__ = ["SweepCell", "CellFailure", "CellOutcome", "WorkerPool",
-           "active_pool", "cell_seed", "is_transient_error", "run_cells",
+           "active_pool", "cell_seed", "dispatch", "is_transient_error",
+           "run_cells",
            "resolve_chunksize", "resolve_jobs", "resolve_trace_length",
            "simulate_sweep_cell"]
 
@@ -263,6 +264,47 @@ class WorkerPool:
         if _POOL_STACK and _POOL_STACK[-1] is self:
             _POOL_STACK.pop()
         self.close()
+
+
+def dispatch(fn, items: Sequence, jobs: int,
+             pool: Optional[WorkerPool] = None,
+             chunksize: Optional[int] = None,
+             monitor: Optional[SweepMonitor] = None,
+             indices: Optional[Sequence[int]] = None) -> Iterator:
+    """Yield ``(indices[i], fn(items[i]))`` in order through a
+    :class:`WorkerPool` — the one dispatch path of every sweep.
+
+    With *jobs* > 1 the pool is *pool*, else the active one, else an
+    ephemeral ``WorkerPool(jobs)`` closed once the items are done; with
+    one job, an ephemeral pool runs every item in-process (as does any
+    pool given a single item).  *indices* default to ``0..n-1``.  With
+    a *monitor*, each cell's ``cell_start`` comes just before it runs
+    in-process, or all of them come before the cells go to the
+    workers, followed by ``worker_up`` when this call starts the
+    workers; ``worker_down`` marks the release of an ephemeral pool's.
+    """
+    pool = (pool or active_pool()) if jobs > 1 else None
+    ephemeral = pool is None
+    if ephemeral:
+        pool = WorkerPool(jobs)
+    indices = range(len(items)) if indices is None else indices
+    inline = pool.jobs <= 1 or len(items) <= 1
+    try:
+        if monitor is not None and not inline:
+            for index in indices:
+                monitor.cell_start(index)
+            if not pool.started:
+                monitor.worker_up(min(pool.jobs, len(items)))
+        stream = iter(pool.imap(fn, items, chunksize=chunksize))
+        for index in indices:
+            if monitor is not None and inline:
+                monitor.cell_start(index)
+            yield index, next(stream)
+    finally:
+        if ephemeral:
+            if monitor is not None and pool.started:
+                monitor.worker_down()
+            pool.close()
 
 
 def cell_seed(workload: str, n_clusters: int, predictor: str,
@@ -547,10 +589,9 @@ def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
                          monitor: Optional[SweepMonitor]
                          ) -> Dict[Any, SimResult]:
     """The body of :func:`run_cells` (monitor already resolved)."""
-    if pool is None:
-        pool = active_pool()
-    if jobs is None and pool is not None:
-        jobs = pool.jobs
+    ambient = pool or active_pool()
+    if jobs is None and ambient is not None:
+        jobs = ambient.jobs
     jobs = resolve_jobs(jobs)
     if cache is None:
         cache = default_cache()
@@ -591,45 +632,11 @@ def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
             cache_root = str(cache.root) if cache is not None else None
             items = [(cells[index], retries, cache_root, keys[index])
                      for index in pending]
-            if jobs <= 1 or len(items) <= 1:
-                ran = []
-                for position, item in enumerate(items):
-                    if monitor is not None:
-                        monitor.cell_start(pending[position])
-                    outcome = _pool_worker(item)
-                    ran.append(outcome)
-                    _note_outcome(monitor, pending[position], outcome)
-            else:
-                if monitor is not None:
-                    for index in pending:
-                        monitor.cell_start(index)
-                if pool is not None:
-                    if monitor is not None and not pool.started:
-                        monitor.worker_up(min(pool.jobs, len(items)))
-                    stream = pool.imap(_pool_worker, items,
-                                       chunksize=chunksize)
-                    ran = []
-                    for position, outcome in enumerate(stream):
-                        ran.append(outcome)
-                        _note_outcome(monitor, pending[position], outcome)
-                else:
-                    chunk = resolve_chunksize(chunksize, len(items), jobs)
-                    workers = min(jobs, len(items))
-                    if monitor is not None:
-                        monitor.worker_up(workers)
-                    with ProcessPoolExecutor(max_workers=workers) \
-                            as executor:
-                        ran = []
-                        for position, outcome in enumerate(
-                                executor.map(_pool_worker, items,
-                                             chunksize=chunk)):
-                            ran.append(outcome)
-                            _note_outcome(monitor, pending[position],
-                                          outcome)
-                    if monitor is not None:
-                        monitor.worker_down()
-            for index, outcome in zip(pending, ran):
+            for index, outcome in dispatch(
+                    _pool_worker, items, jobs, pool=pool,
+                    chunksize=chunksize, monitor=monitor, indices=pending):
                 outcomes[index] = outcome
+                _note_outcome(monitor, index, outcome)
                 # Fold worker-side cache stores into the sweep cache's
                 # counters (worker-process CacheStats die with the
                 # worker).

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..obs.telemetry import active_monitor
@@ -142,6 +142,14 @@ def _campaign_workload_block(payload: tuple) -> List[CampaignCell]:
     return cells
 
 
+def _timed_workload_block(payload: tuple) -> Tuple[float, List[CampaignCell]]:
+    """:func:`_campaign_workload_block` and the seconds it took, timed
+    where it runs."""
+    start = time.perf_counter()
+    cells = _campaign_workload_block(payload)
+    return time.perf_counter() - start, cells
+
+
 def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
                        seeds: Sequence[int] = (0, 1, 2),
                        kinds: Sequence[str] = DEFAULT_KINDS,
@@ -172,13 +180,12 @@ def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
     """
     # Local import: the core simulator imports this package lazily and
     # vice versa; importing at call time breaks the cycle.
-    from ..analysis.parallel import WorkerPool, active_pool, resolve_jobs
+    from ..analysis.parallel import active_pool, dispatch, resolve_jobs
     from ..workloads import workload_names
 
     names = list(workloads) if workloads else workload_names()[:2]
-    pool = active_pool()
-    if jobs is None and pool is not None:
-        jobs = pool.jobs
+    if jobs is None and active_pool() is not None:
+        jobs = active_pool().jobs
     jobs = resolve_jobs(jobs)
     result = CampaignResult(comm_latency=comm_latency)
     payloads = [(name, tuple(kinds), tuple(seeds), length, n_clusters,
@@ -192,39 +199,15 @@ def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
               "predictor": predictor, "steering": steering,
               "length": length or 6_000} for name in names],
             jobs=jobs, chunksize=1)
+    blocks = []
     try:
-        if jobs <= 1 or len(payloads) <= 1:
-            blocks = []
-            for index, payload in enumerate(payloads):
-                if monitor is not None:
-                    monitor.cell_start(index)
-                start = time.perf_counter()
-                blocks.append(_campaign_workload_block(payload))
-                if monitor is not None:
-                    monitor.cell_done(
-                        index, seconds=time.perf_counter() - start)
-        else:
+        # One workload block per dispatch: blocks are coarse already.
+        for index, (seconds, block) in dispatch(
+                _timed_workload_block, payloads, jobs, chunksize=1,
+                monitor=monitor):
+            blocks.append(block)
             if monitor is not None:
-                for index in range(len(payloads)):
-                    monitor.cell_start(index)
-            if pool is not None:
-                # One workload block per dispatch: blocks are coarse
-                # already.
-                stream = pool.imap(_campaign_workload_block, payloads,
-                                   chunksize=1)
-            else:
-                pool = WorkerPool(jobs)
-                stream = pool.imap(_campaign_workload_block, payloads,
-                                   chunksize=1)
-            try:
-                blocks = []
-                for index, block in enumerate(stream):
-                    blocks.append(block)
-                    if monitor is not None:
-                        monitor.cell_done(index)
-            finally:
-                if pool is not active_pool():
-                    pool.close()
+                monitor.cell_done(index, seconds=seconds)
     finally:
         if monitor is not None:
             monitor.sweep_done()
