@@ -228,106 +228,66 @@ class Processor:
         finalizes exactly once via :meth:`run`'s tail or
         :meth:`finalize`.
         """
-        if self.profiler is not None:
-            self._run_profiled(max_cycles, max_insts)
-        else:
-            self._run_plain(max_cycles, max_insts)
-        return self.stats
-
-    def finalize(self) -> SimResult:
-        """Assemble the result bundle for a :meth:`run_until` caller."""
-        return self._finalize()
-
-    def _run_plain(self, max_cycles: Optional[int],
-                   max_insts: Optional[int] = None) -> None:
-        """The uninstrumented (and profiler-free) timing loop.
-
-        Per-cycle work is kept to the stage calls themselves; everything
-        skippable inside the stages is gated by the event-driven wake
-        machinery (``_events``, the queues' ``next_try`` bounds), so an
-        idle stage costs one comparison, not a scan.
-        """
-        watchdog = self.watchdog
-        metrics = self.metrics
-        interval = metrics.interval if metrics is not None else 0
+        # The stages are bound once: plain bound methods, or, with a
+        # profiler, wrappers adding each call's wall-clock time to its
+        # phase.  Everything skippable inside the stages is gated by the
+        # event-driven wake machinery (``_events``, the queues'
+        # ``next_try`` bounds), so an idle stage costs one comparison.
         fetch = self.fetch
         stats = self.stats
+        watchdog = self.watchdog
+        begin, prune = self._begin_cycle, self.interconnect.prune
+        process_events, drain = self._process_events, self._drain_store_data
+        commit, note_commit, check = (self._commit, watchdog.note_commit,
+                                      watchdog.check)
+        issue, decode, tick = self._issue, self._decode, fetch.tick
+        profiler = self.profiler
+        if profiler is not None:
+            timed = profiler.timed
+            begin, prune = timed("other", begin), timed("other", prune)
+            process_events = timed("events", process_events)
+            drain = timed("events", drain)
+            commit = timed("commit", commit)
+            note_commit = timed("commit", note_commit)
+            check = timed("commit", check)
+            issue = timed("issue", issue)
+            decode = timed("decode", decode)
+            tick = timed("fetch", tick)
+            first_cycle, run_start = self.cycle, profiler.clock()
         while not (fetch.done and not self.rob):
             cycle = self.cycle
             if max_cycles is not None and cycle >= max_cycles:
                 break
             if max_insts is not None and stats.committed_insts >= max_insts:
                 break
-            if metrics is not None and cycle and cycle % interval == 0:
-                metrics.sample(self, cycle)
-            self._dports_used = 0
-            self._process_events(cycle)
-            self._drain_store_data(cycle)
-            if self._commit(cycle):
-                watchdog.note_commit(cycle)
+            begin(cycle)
+            process_events(cycle)
+            drain(cycle)
+            if commit(cycle):
+                note_commit(cycle)
             else:
-                watchdog.check(cycle)
-            self._issue(cycle)
-            self._decode(cycle)
-            fetch.tick(cycle)
+                check(cycle)
+            issue(cycle)
+            decode(cycle)
+            tick(cycle)
             if cycle and cycle % 8192 == 0:
-                self.interconnect.prune(cycle)
+                prune(cycle)
             self.cycle = cycle + 1
+        if profiler is not None:
+            profiler.cycles += self.cycle - first_cycle
+            profiler.total_seconds += profiler.clock() - run_start
+        return self.stats
 
-    def _run_profiled(self, max_cycles: Optional[int],
-                      max_insts: Optional[int] = None) -> None:
-        """The same loop with host wall-clock attribution per stage.
+    def finalize(self) -> SimResult:
+        """Assemble the result bundle for a :meth:`run_until` caller."""
+        return self._finalize()
 
-        Stage order and semantics are identical to :meth:`_run_plain`;
-        the only additions are ``perf_counter`` brackets, so the
-        simulated outcome is unchanged.  Kept separate so the common
-        case carries no timing calls at all.
-        """
-        watchdog = self.watchdog
+    def _begin_cycle(self, cycle: int) -> None:
+        """Per-cycle bookkeeping: interval sampling, D-port reset."""
         metrics = self.metrics
-        interval = metrics.interval if metrics is not None else 0
-        profiler = self.profiler
-        seconds = profiler.seconds
-        clock = profiler.clock
-        run_start = clock()
-        while not (self.fetch.done and not self.rob):
-            cycle = self.cycle
-            if max_cycles is not None and cycle >= max_cycles:
-                break
-            if (max_insts is not None
-                    and self.stats.committed_insts >= max_insts):
-                break
-            t0 = clock()
-            if metrics is not None and cycle and cycle % interval == 0:
-                metrics.sample(self, cycle)
-            self._dports_used = 0
-            t1 = clock()
-            seconds["other"] += t1 - t0
-            self._process_events(cycle)
-            self._drain_store_data(cycle)
-            t2 = clock()
-            seconds["events"] += t2 - t1
-            if self._commit(cycle):
-                watchdog.note_commit(cycle)
-            else:
-                watchdog.check(cycle)
-            t3 = clock()
-            seconds["commit"] += t3 - t2
-            self._issue(cycle)
-            t4 = clock()
-            seconds["issue"] += t4 - t3
-            self._decode(cycle)
-            t5 = clock()
-            seconds["decode"] += t5 - t4
-            self.fetch.tick(cycle)
-            t6 = clock()
-            seconds["fetch"] += t6 - t5
-            if cycle and cycle % 8192 == 0:
-                self.interconnect.prune(cycle)
-                seconds["other"] += clock() - t6
-            profiler.note_cycle()
-            self.cycle += 1
-        profiler.total_seconds += clock() - run_start
+        if metrics is not None and cycle and cycle % metrics.interval == 0:
+            metrics.sample(self, cycle)
+        self._dports_used = 0
 
     def _finalize(self) -> SimResult:
         """Assemble the result bundle after the loop drains or stops."""

@@ -4,18 +4,19 @@ The simulated machine's bottlenecks live in :class:`SimStats`; this
 profiler answers the other question — which stage of the Python timing
 loop burns the host CPU — so perf work targets the real hot path
 instead of folklore.  The processor's run loop, when a profiler is
-installed, brackets each pipeline stage with ``perf_counter`` reads
-and attributes the elapsed time to one of the phases:
+installed, runs each pipeline stage through a :meth:`PhaseProfiler.timed`
+wrapper that brackets it with ``perf_counter`` reads and attributes the
+elapsed time to one of the phases:
 
 ``events``   writeback/verification event processing + store-data drain
 ``commit``   in-order retirement + watchdog accounting
 ``issue``    per-cluster wakeup/select and NREADY metering
 ``decode``   value prediction, steering, rename, dispatch
 ``fetch``    front-end buffer refill
-``other``    per-cycle bookkeeping (FU pool reset, pruning, sampling)
+``other``    per-cycle bookkeeping (interval sampling, pruning)
 
-With no profiler installed the run loop contains no timing calls at
-all — the disabled path costs nothing.
+With no profiler installed the run loop calls the plain stage methods,
+bound once before the loop — the disabled path costs nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +43,17 @@ class PhaseProfiler:
     def add(self, phase: str, seconds: float) -> None:
         self.seconds[phase] += seconds
 
-    def note_cycle(self) -> None:
-        self.cycles += 1
+    def timed(self, phase: str, fn):
+        """*fn* wrapped to add the wall-clock time of each call to
+        *phase*."""
+        seconds, clock = self.seconds, self.clock
+
+        def timed_fn(*args):
+            start = clock()
+            result = fn(*args)
+            seconds[phase] += clock() - start
+            return result
+        return timed_fn
 
     @property
     def attributed_seconds(self) -> float:
