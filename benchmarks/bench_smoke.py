@@ -39,8 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from bench_wallclock import provenance, rate_of
 from repro.analysis.cache import ResultCache, use_cache
-from repro.analysis.perf_report import (append_entry, infer_shape,
-                                        load_history)
+from repro.analysis.perf_report import append_entry, load_history
 from repro.analysis.parallel import (SweepCell, WorkerPool,
                                      resolve_chunksize, resolve_jobs,
                                      run_cells)
@@ -90,7 +89,7 @@ def best_comparable_rate(history, n_cells: int, cores: int):
     """
     rates = [entry.get("serial_insts_per_second") for entry in history
              if entry.get("benchmark") == "smoke_guard"
-             and infer_shape(entry) == "serial"
+             and entry.get("shape") == "serial"
              and entry.get("trace_length") == LENGTH
              and entry.get("cells") == n_cells
              and entry.get("cpu_count") == cores

@@ -306,6 +306,7 @@ def _main() -> int:
     speedup = speedup_of(serial_s, parallel_s)
     entry = {
         "benchmark": "sweep_wallclock",
+        "shape": "serial",
         **provenance(),
         "cpu_count": os.cpu_count(),
         "jobs": jobs,

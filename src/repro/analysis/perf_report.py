@@ -1,17 +1,17 @@
 """Perf-regression dashboard over BENCH_sweep.json + run receipts.
 
 ``BENCH_sweep.json`` is the repo's performance trajectory: every
-``make bench-wallclock`` / ``make bench-smoke`` run appends one entry.
-The file grew organically across PRs, so entries are heterogeneous —
-early ones lack provenance, later ones add cache/pool/tracer sections.
-This module makes that history *queryable*:
+``make bench-wallclock`` / ``make bench-smoke`` run appends one entry,
+a JSON object in a top-level list.  Entries are heterogeneous — some
+add cache/pool/tracer sections — but every one carries a ``schema``
+tag and an explicit measurement ``shape``.  This module makes that
+history *queryable*:
 
 * :func:`normalize_entry` / :func:`append_entry` — the single write
-  path for new entries (satellite of PR 6): every entry gains a
-  ``schema`` version tag, keys are written in stable sorted order, and
-  exact duplicates (identical but for their timestamp) are dropped, so
-  the file stays a clean append-only log that this module can always
-  parse — including the pre-schema entries already in it.
+  path for new entries: every entry gains the ``schema`` tag, must name
+  its ``shape``, keys are written in stable sorted order, and exact
+  duplicates (identical but for their timestamp) are dropped, so the
+  file stays a clean append-only log.
 * :func:`find_regressions` — flags entries whose throughput fell more
   than *threshold* below the best **earlier same-shape** entry.  Shape
   (:func:`shape_key`) is (benchmark, trace length, cell count, core
@@ -37,13 +37,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["BENCH_SCHEMA", "DEFAULT_THRESHOLD", "SHAPES", "append_entry",
            "dedup_history", "entry_identity", "find_regressions",
-           "infer_shape", "load_history", "normalize_entry",
-           "render_dashboard", "shape_key"]
+           "load_history", "normalize_entry", "render_dashboard",
+           "shape_key"]
 
 #: Schema tag stamped on every entry written through
-#: :func:`append_entry`.  v1 is the implicit schema of the organic
-#: pre-PR-6 entries (no tag at all); readers treat untagged entries as
-#: v1 and keep parsing them.
+#: :func:`append_entry`.
 BENCH_SCHEMA = "bench-sweep-v2"
 
 #: Fractional throughput drop vs the best earlier same-shape entry
@@ -52,10 +50,8 @@ DEFAULT_THRESHOLD = 0.20
 
 #: Fields ignored when deciding whether two entries are duplicates:
 #: re-running an unchanged benchmark twice in a minute produces two
-#: entries identical but for these.  ``shape`` is derived
-#: deterministically (see :func:`infer_shape`), so a healed and an
-#: unhealed copy of the same measurement still deduplicate.
-_IDENTITY_VOLATILE = ("timestamp_utc", "schema", "shape")
+#: entries identical but for these.
+_IDENTITY_VOLATILE = ("timestamp_utc", "schema")
 
 #: The measurement shapes an entry can be tagged with.  ``serial`` and
 #: ``parallel`` are detailed-simulation wall-clock measurements;
@@ -65,32 +61,11 @@ _IDENTITY_VOLATILE = ("timestamp_utc", "schema", "shape")
 SHAPES = ("serial", "parallel", "sampled")
 
 
-def infer_shape(entry: dict) -> str:
-    """The measurement shape of an entry, for legacy untagged entries.
-
-    Sampled entries are recognized by their effective-rate field or
-    sampling section; entries that only measured a parallel sweep are
-    ``parallel``; everything else — including the historic
-    ``sweep_wallclock``/``smoke_guard`` entries, whose guarded metric
-    is the serial rate — is ``serial``.
-    """
-    shape = entry.get("shape")
-    if shape in SHAPES:
-        return shape
-    if "effective_insts_per_second" in entry or "sampling" in entry:
-        return "sampled"
-    if ("parallel_insts_per_second" in entry
-            and "serial_insts_per_second" not in entry):
-        return "parallel"
-    return "serial"
-
-
 def load_history(path) -> List[dict]:
     """The benchmark history at *path* as a list (tolerant reader).
 
-    A missing file is an empty history; a single-object file (the
-    format's oldest incarnation) is a one-entry history; an unparsable
-    file is treated as empty rather than killing the report.
+    A missing file is an empty history; an unparsable file is treated
+    as empty rather than killing the report.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -99,24 +74,22 @@ def load_history(path) -> List[dict]:
         history = json.loads(path.read_text())
     except (json.JSONDecodeError, OSError):
         return []
-    if isinstance(history, dict):
-        return [history]
-    if isinstance(history, list):
-        return [entry for entry in history if isinstance(entry, dict)]
-    return []
+    if not isinstance(history, list):
+        return []
+    return [entry for entry in history if isinstance(entry, dict)]
 
 
 def normalize_entry(entry: dict) -> dict:
     """One entry in canonical form: schema-tagged, stably key-ordered.
 
-    Entries predating the schema tag pass through unmodified except
-    for ordering — their fields are already what the readers expect.
-    Legacy entries with no explicit ``shape`` are healed with the
-    inferred one, so every rewrite leaves a fully tagged history.
+    Raises ``ValueError`` when the entry does not name its measurement
+    ``shape`` (one of :data:`SHAPES`): every writer stamps it.
     """
+    if entry.get("shape") not in SHAPES:
+        raise ValueError(f"benchmark entry needs a shape in {SHAPES}, "
+                         f"got {entry.get('shape')!r}")
     normalized = dict(entry)
     normalized.setdefault("schema", BENCH_SCHEMA)
-    normalized["shape"] = infer_shape(normalized)
     return {key: normalized[key] for key in sorted(normalized)}
 
 
@@ -124,8 +97,8 @@ def entry_identity(entry: dict) -> str:
     """A stable fingerprint of an entry's *measurement* content.
 
     Two runs of an unchanged benchmark differ only in timestamp (and
-    possibly the tag a rewrite added); everything else identical means
-    the second entry adds no information to the trajectory.
+    possibly the schema tag); everything else identical means the
+    second entry adds no information to the trajectory.
     """
     content = {key: value for key, value in entry.items()
                if key not in _IDENTITY_VOLATILE}
@@ -149,8 +122,7 @@ def append_entry(path, entry: dict) -> List[dict]:
     """Append *entry* to the history at *path*; returns the history.
 
     The whole file is rewritten normalized (schema tags, stable key
-    order) and deduplicated, so one append also heals a history that
-    accumulated duplicates before this write path existed.
+    order) and deduplicated.
     """
     history = [normalize_entry(existing) for existing in
                load_history(path)]
@@ -168,7 +140,7 @@ def shape_key(entry: dict) -> Tuple:
     throughput, so same-shape matching alone keeps sampled entries out
     of the detailed-throughput regression guard.
     """
-    return (entry.get("benchmark"), infer_shape(entry),
+    return (entry.get("benchmark"), entry.get("shape"),
             entry.get("trace_length"), entry.get("cells"),
             entry.get("cpu_count"))
 

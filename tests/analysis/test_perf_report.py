@@ -4,6 +4,8 @@ healing, same-shape regression detection, markdown rendering.
 
 import json
 
+import pytest
+
 from repro.analysis.perf_report import (BENCH_SCHEMA, append_entry,
                                         dedup_history, entry_identity,
                                         find_regressions, load_history,
@@ -13,7 +15,7 @@ from repro.analysis.perf_report import (BENCH_SCHEMA, append_entry,
 
 def _entry(rate, benchmark="smoke_guard", commit="abc1234",
            timestamp="2026-08-08T00:00:00Z", **extra):
-    entry = {"benchmark": benchmark, "commit": commit,
+    entry = {"benchmark": benchmark, "shape": "serial", "commit": commit,
              "timestamp_utc": timestamp, "cpu_count": 2, "cells": 16,
              "trace_length": 1_500, "serial_insts_per_second": rate}
     entry.update(extra)
@@ -24,26 +26,28 @@ class TestHistoryIO:
     def test_load_missing_file_is_empty(self, tmp_path):
         assert load_history(tmp_path / "nope.json") == []
 
-    def test_load_tolerates_garbage_and_object_form(self, tmp_path):
+    def test_load_tolerates_garbage(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text("{not json")
         assert load_history(path) == []
         path.write_text(json.dumps({"benchmark": "solo"}))
-        assert load_history(path) == [{"benchmark": "solo"}]
+        assert load_history(path) == []
         path.write_text(json.dumps([{"a": 1}, "stray-string", {"b": 2}]))
         assert load_history(path) == [{"a": 1}, {"b": 2}]
 
     def test_normalize_tags_schema_and_sorts_keys(self):
-        normalized = normalize_entry({"z": 1, "a": 2})
-        # Normalization tags the schema, heals a measurement shape onto
-        # legacy entries, and emits keys in stable sorted order.
+        normalized = normalize_entry({"z": 1, "shape": "serial", "a": 2})
+        # Normalization tags the schema and emits keys in stable
+        # sorted order; an explicit schema tag is kept.
         assert list(normalized) == ["a", "schema", "shape", "z"]
         assert normalized["schema"] == BENCH_SCHEMA
-        assert normalized["shape"] == "serial"
-        # An already-tagged (or pre-schema v1) entry keeps its tag, and
-        # an explicit shape is never overwritten.
-        assert normalize_entry({"schema": "v1"})["schema"] == "v1"
-        assert normalize_entry({"shape": "sampled"})["shape"] == "sampled"
+        assert normalize_entry({"schema": "x", "shape": "sampled"}) == {
+            "schema": "x", "shape": "sampled"}
+
+    def test_normalize_requires_an_explicit_shape(self):
+        for entry in ({"benchmark": "b"}, {"shape": "mystery"}):
+            with pytest.raises(ValueError, match="shape"):
+                normalize_entry(entry)
 
     def test_dedup_ignores_timestamp_and_schema_only(self):
         first = _entry(100_000.0)
@@ -54,7 +58,7 @@ class TestHistoryIO:
 
     def test_append_entry_heals_the_file(self, tmp_path):
         path = tmp_path / "bench.json"
-        # A legacy file with a duplicate pair and unsorted keys.
+        # A file with a duplicate pair and unsorted keys.
         path.write_text(json.dumps([_entry(100_000.0),
                                     _entry(100_000.0,
                                            timestamp="later")]))
