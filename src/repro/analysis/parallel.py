@@ -10,9 +10,9 @@ embarrassingly parallel map.  This module provides that map:
   so a sweep's outcome cannot depend on environment inherited at fork
   time or on which worker happens to execute which cell.
 * :func:`run_cells` — executes a list of cells either serially (in
-  process, sharing the trace cache) or across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with identical
-  retry/ledger semantics on both paths.  Results are collected **in
+  process, sharing the trace cache) or across worker processes, both
+  through :func:`dispatch`, with identical retry/ledger semantics on
+  both paths.  Results are collected **in
   cell order**, so ledgers and result dictionaries are byte-identical
   regardless of completion order, worker count, chunk size, or cache
   state.

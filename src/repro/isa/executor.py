@@ -38,8 +38,9 @@ def _wrap64(value: int) -> int:
 
 
 def _address(base: int, imm: int) -> int:
-    """Effective address of a load or store."""
-    return _wrap64(base + imm)
+    """Effective address of a load or store: ``wrap64(base + imm)``."""
+    addr = base + imm
+    return addr if _INT_MIN <= addr <= _INT_MAX else _wrap64(addr)
 
 
 class ExecutionError(RuntimeError):
@@ -230,17 +231,6 @@ _STEPS = {
     "cvtfi": _unary(lambda x: _wrap64(int(x))),
 }
 
-#: What a step leaves in ``out`` for the trace: a memory address or a
-#: branch outcome.
-_MEM, _BRANCH = "mem", "branch"
-
-
-def _observes(op) -> Optional[str]:
-    if op.is_load or op.is_store:
-        return _MEM
-    return _BRANCH if op.is_branch else None
-
-
 def _locate(rid: int, ir: list, fr: list):
     """``(bank, index)`` of register *rid* in the register lists."""
     return (fr, rid - FP_BASE) if rid >= FP_BASE else (ir, rid)
@@ -272,22 +262,18 @@ def _build_step(inst: Instruction, here: int, base: int, size: int,
     return keep_r0_zero
 
 
-#: Private register file for :func:`recompute_result`.
-_SCRATCH_INT: List[int] = [0] * FP_BASE
-_SCRATCH_FP: List[float] = [0.0] * (NUM_LOGICAL_REGS - FP_BASE)
-
-
 @lru_cache(maxsize=1024)
 def _scratch_step(name: str, imm: Optional[int]):
-    """*name*'s step on the scratch registers, with its operand slots."""
+    """*name*'s step on a private register file, with its operand slots."""
     op = OPCODES[name]
+    ir, fr = [0] * FP_BASE, [0.0] * (NUM_LOGICAL_REGS - FP_BASE)
     # One register id per slot, in the bank the opcode expects: the
     # destination first (never r0), then the sources.
     rids = [(FP_BASE if bank == "f" else 0) + 1 + slot
             for slot, bank in enumerate(_expected_banks(op))]
     inst = Instruction(op, rids[0], tuple(rids[1:]), imm, None, 0)
-    step = _build_step(inst, 0, 0, 1, _SCRATCH_INT, _SCRATCH_FP, {}, [None])
-    banks = [_locate(rid, _SCRATCH_INT, _SCRATCH_FP) for rid in rids]
+    step = _build_step(inst, 0, 0, 1, ir, fr, {}, [None])
+    banks = [_locate(rid, ir, fr) for rid in rids]
     return step, banks[0], banks[1:]
 
 
@@ -386,7 +372,8 @@ class FunctionalExecutor:
         meta = [(inst.pc, inst.op, inst.dest, inst.srcs,
                  tuple(_locate(rid, ir, fr) for rid in inst.srcs),
                  None if inst.dest is None else _locate(inst.dest, ir, fr),
-                 _observes(inst.op), inst.target)
+                 inst.op.is_load or inst.op.is_store, inst.op.is_branch,
+                 inst.target)
                 for inst in self.program.instructions]
         size = len(meta)
         idx = (self.pc - base) // INSTRUCTION_BYTES
@@ -396,7 +383,7 @@ class FunctionalExecutor:
         while seq < cap:
             if not 0 <= idx < size:
                 raise ExecutionError(f"PC out of code segment: {pc:#x}")
-            (pc, op, dest, srcs, sources, dest_at, observes,
+            (pc, op, dest, srcs, sources, dest_at, is_mem, is_branch,
              target) = meta[idx]
             src_values = tuple([bank[i] for bank, i in sources])
             nxt = steps[idx]()
@@ -404,8 +391,8 @@ class FunctionalExecutor:
                 self.halted = True
                 return
             result = None if dest_at is None else dest_at[0][dest_at[1]]
-            mem_addr = out[0] if observes is _MEM else None
-            taken = out[0] if observes is _BRANCH else None
+            mem_addr = out[0] if is_mem else None
+            taken = out[0] if is_branch else None
             self.seq = seq + 1
             self.pc = base + nxt * INSTRUCTION_BYTES
             yield DynInst(seq, pc, op, dest, srcs, src_values, result,
@@ -576,9 +563,9 @@ class FunctionalExecutor:
                 if rid != ZERO_REG and rid < FP_BASE
             ) if make_value is not None else ()
 
-            if op.is_cond_branch:
+            if op.is_branch:
                 btrain = make_branch(pc) if make_branch is not None \
-                    else None
+                    and op.is_cond_branch else None
 
                 def tstep(step=step, pc=pc, tpc=inst.target,
                           vtr=vp_trainers, btrain=btrain, target=target):
@@ -591,11 +578,6 @@ class FunctionalExecutor:
                     if taken and target is not None:
                         target(pc, tpc)
                     return nxt
-            elif op.is_branch and target is not None:
-                def tstep(step=step, pc=pc, tpc=inst.target,
-                          target=target):
-                    target(pc, tpc)
-                    return step()
             elif mem is not None and (op.is_load or op.is_store):
                 def tstep(step=step, wr=op.is_store, vtr=vp_trainers,
                           mem=mem):

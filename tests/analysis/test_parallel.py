@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.experiments import (ErrorLedger, run_graceful_sweep,
                                         run_one_safe)
 from repro.analysis.parallel import (SweepCell, WorkerPool, active_pool,
-                                     cell_seed, is_transient_error,
+                                     cell_seed, dispatch, is_transient_error,
                                      resolve_chunksize, resolve_jobs,
                                      resolve_trace_length, run_cells)
 from repro.errors import (ConfigError, DeadlockError, DivergenceError,
@@ -193,6 +193,46 @@ class TestWorkerPool:
             assert pool.started
         assert serial.ipc == pooled.ipc
         assert serial.ledger.entries == pooled.ledger.entries
+
+
+class TestDispatch:
+    """The one dispatch path: results in input order, the event order
+    every sweep reports, and ephemeral pools closed afterwards."""
+
+    def _events(self, jobs, pool=None):
+        from repro.obs.telemetry import SweepMonitor
+        monitor = SweepMonitor()
+        monitor.sweep_start("t", [{"key": k} for k in "abc"], jobs=jobs)
+        got = []
+        for index, value in dispatch(abs, [-1, -2, -3], jobs, pool=pool,
+                                     monitor=monitor, indices=[2, 0, 1]):
+            got.append((index, value))
+            monitor.cell_done(index)
+        return got, [(e["event"], e.get("key"))
+                     for e in monitor.events[1:]]
+
+    def test_serial_runs_each_cell_between_its_events(self):
+        got, events = self._events(jobs=1)
+        assert got == [(2, 1), (0, 2), (1, 3)]
+        assert events == [("cell_start", "c"), ("cell_done", "c"),
+                          ("cell_start", "a"), ("cell_done", "a"),
+                          ("cell_start", "b"), ("cell_done", "b")]
+
+    def test_parallel_starts_cells_then_brackets_workers(self):
+        got, events = self._events(jobs=2)
+        assert got == [(2, 1), (0, 2), (1, 3)]
+        assert events == [("cell_start", "c"), ("cell_start", "a"),
+                          ("cell_start", "b"), ("worker_up", None),
+                          ("cell_done", "c"), ("cell_done", "a"),
+                          ("cell_done", "b"), ("worker_down", None)]
+
+    def test_given_pool_stays_open(self):
+        with WorkerPool(jobs=2) as pool:
+            got, events = self._events(jobs=2, pool=pool)
+            assert pool.started
+            assert ("worker_down", None) not in events
+            assert self._events(jobs=2)[1].count(("worker_up", None)) == 0
+        assert got == [(2, 1), (0, 2), (1, 3)]
 
 
 class TestEnvValidation:
