@@ -262,6 +262,25 @@ def _build_step(inst: Instruction, here: int, base: int, size: int,
     return keep_r0_zero
 
 
+def _lazy_table(size: int, make: Callable[[int], Callable[[], int]],
+                sentinel: Callable[[], int]) -> list:
+    """A step table whose entry ``i`` is ``make(i)``, built on its first
+    call and then called directly.  The stand-ins unroll to hundreds of
+    static instructions, so a short trace or window pays only for those
+    it reaches.  Entry ``size`` is *sentinel*."""
+    table: list = []
+
+    def stub(i):
+        def build_and_run():
+            step = table[i] = make(i)
+            return step()
+        return build_and_run
+
+    table.extend(map(stub, range(size)))
+    table.append(sentinel)
+    return table
+
+
 @lru_cache(maxsize=1024)
 def _scratch_step(name: str, imm: Optional[int]):
     """*name*'s step on a private register file, with its operand slots."""
@@ -368,14 +387,10 @@ class FunctionalExecutor:
         steps = self._steps()
         out = self._out
         ir, fr = self.int_regs, self.fp_regs
+        instructions = self.program.instructions
         base = self.program.code_base
-        meta = [(inst.pc, inst.op, inst.dest, inst.srcs,
-                 tuple(_locate(rid, ir, fr) for rid in inst.srcs),
-                 None if inst.dest is None else _locate(inst.dest, ir, fr),
-                 inst.op.is_load or inst.op.is_store, inst.op.is_branch,
-                 inst.target)
-                for inst in self.program.instructions]
-        size = len(meta)
+        size = len(instructions)
+        meta: list = [None] * size  # per-PC operand slots, built on use
         idx = (self.pc - base) // INSTRUCTION_BYTES
         pc = self.pc
         seq = self.seq
@@ -383,8 +398,18 @@ class FunctionalExecutor:
         while seq < cap:
             if not 0 <= idx < size:
                 raise ExecutionError(f"PC out of code segment: {pc:#x}")
+            entry = meta[idx]
+            if entry is None:
+                inst = instructions[idx]
+                op = inst.op
+                entry = meta[idx] = (
+                    inst.pc, op, inst.dest, inst.srcs,
+                    tuple(_locate(rid, ir, fr) for rid in inst.srcs),
+                    None if inst.dest is None
+                    else _locate(inst.dest, ir, fr),
+                    op.is_load or op.is_store, op.is_branch, inst.target)
             (pc, op, dest, srcs, sources, dest_at, is_mem, is_branch,
-             target) = meta[idx]
+             target) = entry
             src_values = tuple([bank[i] for bank, i in sources])
             nxt = steps[idx]()
             if nxt < 0:
@@ -473,7 +498,7 @@ class FunctionalExecutor:
                 pre-binding the value hook per static operand (e.g.
                 :meth:`repro.predictor.StridePredictor.trainer`); used
                 instead of *value* when given, resolving table indices
-                once at compile time instead of per call.
+                once per static operand instead of per call.
             branch_factory: optional ``factory(pc) -> train(taken)``
                 pre-binding the branch hook per static branch
                 (:meth:`repro.frontend.CombinedPredictor.trainer`).
@@ -491,24 +516,23 @@ class FunctionalExecutor:
         self._trained = None
 
     def _compile_train(self) -> List[Callable[[], int]]:
-        """Wrap the step table with the installed training hooks.
+        """The step table wrapped with the installed training hooks.
 
-        Value trainers read the source registers before the step; the
-        branch, target and D-cache hooks read the step's ``out`` cell
-        after it, so the trained path has no condition or address logic
-        of its own.  Instructions that train nothing (``nop``, fp-only
+        Entries are built lazily, like :meth:`_steps`'s.  Value
+        trainers read the source registers before the step; the branch,
+        target and D-cache hooks read the step's ``out`` cell after it,
+        so the trained path has no condition or address logic of its
+        own.  Instructions that train nothing (``nop``, fp-only
         arithmetic) keep their plain step, so the overhead is paid only
         where a hook actually fires.
         """
         (value, branch, target, mem, code,
          value_factory, branch_factory) = self._train_hooks
-        plain = self._steps()
         out = self._out
         program = self.program
         ir = self.int_regs
         base = program.code_base
         size = len(program)
-        table: List[Callable[[], int]] = []
         # Fetch-line tracker shared by every closure, mirroring the
         # fetch engine's ``_last_line``: the I-cache is touched once
         # per line *transition*, not per instruction.  Every control
@@ -550,9 +574,10 @@ class FunctionalExecutor:
         else:
             make_branch = None
 
-        for i, inst in enumerate(program.instructions):
+        def make(i):
+            inst = program.instructions[i]
             op = inst.op
-            step = plain[i]
+            step = self._build(i)
             pc = inst.pc
             # Integer source operands in slot order, as decode sees
             # them: fp-bank registers and r0 never train the value
@@ -610,13 +635,12 @@ class FunctionalExecutor:
                         cell[0] = line
                         code(pc)
                     return inner()
-            table.append(tstep)
+            return tstep
 
-        table.append(plain[size])  # shared off-segment sentinel
-        return table
+        return _lazy_table(size, make, self._steps()[size])
 
     def _steps(self) -> List[Callable[[], int]]:
-        """The per-static-instruction step table, built on first use.
+        """The per-static-instruction step table (see :func:`_lazy_table`).
 
         Entry ``i`` is instruction ``i``'s step from :data:`_STEPS`.
         Steps capture the live register lists and the sparse memory
@@ -626,23 +650,23 @@ class FunctionalExecutor:
         sentinel that raises the same :class:`ExecutionError` as
         :meth:`run` does when execution falls off the code segment.
         """
-        if self._compiled is not None:
-            return self._compiled
+        if self._compiled is None:
+            end_pc = (self.program.code_base
+                      + len(self.program) * INSTRUCTION_BYTES)
+
+            def off_segment() -> int:  # pragma: no cover - malformed
+                raise ExecutionError(f"PC out of code segment: {end_pc:#x}")
+
+            self._compiled = _lazy_table(len(self.program), self._build,
+                                         off_segment)
+        return self._compiled
+
+    def _build(self, i: int) -> Callable[[], int]:
+        """Instruction ``i``'s step on this executor's state."""
         program = self.program
-        base = program.code_base
-        size = len(program)
-        mem = program.memory._mem
-        table = [_build_step(inst, i, base, size, self.int_regs,
-                             self.fp_regs, mem, self._out)
-                 for i, inst in enumerate(program.instructions)]
-        end_pc = base + size * INSTRUCTION_BYTES
-
-        def off_segment() -> int:  # pragma: no cover - malformed programs
-            raise ExecutionError(f"PC out of code segment: {end_pc:#x}")
-
-        table.append(off_segment)
-        self._compiled = table
-        return table
+        return _build_step(program.instructions[i], i, program.code_base,
+                           len(program), self.int_regs, self.fp_regs,
+                           program.memory._mem, self._out)
 
 
 def execute(program: Program, max_instructions: int = 1_000_000) -> List[DynInst]:
