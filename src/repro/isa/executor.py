@@ -283,8 +283,12 @@ def _lazy_table(size: int, make: Callable[[int], Callable[[], int]],
 
 @lru_cache(maxsize=1024)
 def _scratch_step(name: str, imm: Optional[int]):
-    """*name*'s step on a private register file, with its operand slots."""
-    op = OPCODES[name]
+    """*name*'s step on a private register file with its operand slots,
+    or ``None`` when :func:`recompute_result` cannot re-execute it."""
+    op = OPCODES.get(name)
+    if op is None or not op.has_dest or op.is_load or (
+            imm is None and ("I" in op.signature or "A" in op.signature)):
+        return None
     ir, fr = [0] * FP_BASE, [0.0] * (NUM_LOGICAL_REGS - FP_BASE)
     # One register id per slot, in the bank the opcode expects: the
     # destination first (never r0), then the sources.
@@ -307,11 +311,10 @@ def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
     dynamic trace does not carry; callers without it pass ``imm=None``.
     The operation runs as its own step on a private register file.
     """
-    op = OPCODES.get(name)
-    if op is None or not op.has_dest or op.is_load or (
-            imm is None and ("I" in op.signature or "A" in op.signature)):
+    scratch = _scratch_step(name, imm)
+    if scratch is None:
         return False, None
-    step, (dest_bank, dest), sources = _scratch_step(name, imm)
+    step, (dest_bank, dest), sources = scratch
     for (bank, index), value in zip(sources, src_values):
         bank[index] = value
     step()
