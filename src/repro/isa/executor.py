@@ -19,7 +19,7 @@ from typing import Callable, Iterator, List, Optional
 
 from .instruction import DynInst, Instruction
 from .opcodes import OPCODES
-from .program import INSTRUCTION_BYTES, Program, _expected_banks
+from .program import INSTRUCTION_BYTES, Program
 from .registers import FP_BASE, NUM_LOGICAL_REGS, ZERO_REG
 
 __all__ = ["ExecutionError", "FunctionalExecutor", "execute",
@@ -283,21 +283,17 @@ def _lazy_table(size: int, make: Callable[[int], Callable[[], int]],
 
 @lru_cache(maxsize=1024)
 def _scratch_step(name: str, imm: Optional[int]):
-    """*name*'s step on a private register file with its operand slots,
-    or ``None`` when :func:`recompute_result` cannot re-execute it."""
+    """``(step, sources, result)``: *name*'s step reading its operands
+    from the list *sources* and writing ``result[0]``, or ``None`` when
+    :func:`recompute_result` cannot re-execute the opcode."""
     op = OPCODES.get(name)
     if op is None or not op.has_dest or op.is_load or (
             imm is None and ("I" in op.signature or "A" in op.signature)):
         return None
-    ir, fr = [0] * FP_BASE, [0.0] * (NUM_LOGICAL_REGS - FP_BASE)
-    # One register id per slot, in the bank the opcode expects: the
-    # destination first (never r0), then the sources.
-    rids = [(FP_BASE if bank == "f" else 0) + 1 + slot
-            for slot, bank in enumerate(_expected_banks(op))]
-    inst = Instruction(op, rids[0], tuple(rids[1:]), imm, None, 0)
-    step = _build_step(inst, 0, 0, 1, ir, fr, {}, [None])
-    banks = [_locate(rid, ir, fr) for rid in rids]
-    return step, banks[0], banks[1:]
+    sources, result = [None, None], [None]
+    step = _STEPS[name](D=result, d=0, A=sources, a=0, B=sources, b=1,
+                        imm=imm, mem={}, out=[None], nxt=1, here=0)
+    return step, sources, result
 
 
 def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
@@ -309,16 +305,15 @@ def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
     that touch memory or control flow, whose results the trace must be
     trusted for.  Immediate forms need the static immediate, which the
     dynamic trace does not carry; callers without it pass ``imm=None``.
-    The operation runs as its own step on a private register file.
+    The operation runs as its own step on private operand lists.
     """
     scratch = _scratch_step(name, imm)
     if scratch is None:
         return False, None
-    step, (dest_bank, dest), sources = scratch
-    for (bank, index), value in zip(sources, src_values):
-        bank[index] = value
+    step, sources, result = scratch
+    sources[:] = src_values
     step()
-    return True, dest_bank[dest]
+    return True, result[0]
 
 
 class FunctionalExecutor:
