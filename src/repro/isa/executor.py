@@ -231,6 +231,7 @@ _STEPS = {
     "cvtfi": _unary(lambda x: _wrap64(int(x))),
 }
 
+
 def _locate(rid: int, ir: list, fr: list):
     """``(bank, index)`` of register *rid* in the register lists."""
     return (fr, rid - FP_BASE) if rid >= FP_BASE else (ir, rid)
