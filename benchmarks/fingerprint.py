@@ -20,13 +20,11 @@ the file and says why in CHANGES.md.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/fingerprint.py          # rewrite
-    PYTHONPATH=src python benchmarks/fingerprint.py --check  # compare
+    PYTHONPATH=src python benchmarks/fingerprint.py   # rewrite the file
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
@@ -117,17 +115,8 @@ def render(fingerprint: dict) -> str:
     return json.dumps(fingerprint, indent=1, sort_keys=True) + "\n"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the committed file instead "
-                             "of rewriting it; exit 1 on any difference")
-    args = parser.parse_args(argv)
+def main() -> int:
     text = render(compute())
-    if args.check:
-        same = FINGERPRINT_PATH.read_text() == text
-        print("fingerprint " + ("identical" if same else "DIFFERS"))
-        return 0 if same else 1
     FINGERPRINT_PATH.parent.mkdir(parents=True, exist_ok=True)
     FINGERPRINT_PATH.write_text(text)
     print(f"wrote {FINGERPRINT_PATH}")

@@ -275,9 +275,9 @@ def dispatch(fn, items: Sequence, jobs: int,
     :class:`WorkerPool` — the one dispatch path of every sweep.
 
     With *jobs* > 1 the pool is *pool*, else the active one, else an
-    ephemeral ``WorkerPool(jobs)`` closed once the items are done; with
-    one job, an ephemeral pool runs every item in-process (as does any
-    pool given a single item).  *indices* default to ``0..n-1``.  With
+    ephemeral pool of ``min(jobs, len(items))`` workers closed once the
+    items are done; with one job, an ephemeral pool runs every item
+    in-process (as does any pool given a single item).  *indices* default to ``0..n-1``.  With
     a *monitor*, each cell's ``cell_start`` comes just before it runs
     in-process, or all of them come before the cells go to the
     workers, followed by ``worker_up`` when this call starts the
@@ -286,7 +286,7 @@ def dispatch(fn, items: Sequence, jobs: int,
     pool = (pool or active_pool()) if jobs > 1 else None
     ephemeral = pool is None
     if ephemeral:
-        pool = WorkerPool(jobs)
+        pool = WorkerPool(max(1, min(jobs, len(items))))
     indices = range(len(items)) if indices is None else indices
     inline = pool.jobs <= 1 or len(items) <= 1
     try:

@@ -234,6 +234,26 @@ class TestDispatch:
             assert self._events(jobs=2)[1].count(("worker_up", None)) == 0
         assert got == [(2, 1), (0, 2), (1, 3)]
 
+    def test_ephemeral_pool_is_sized_to_the_cells(self, monkeypatch):
+        import repro.analysis.parallel as parallel
+        from repro.obs.telemetry import SweepMonitor
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        started = []
+        real = parallel.ProcessPoolExecutor
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording)
+        monitor = SweepMonitor()
+        monitor.sweep_start("t", [{"key": k} for k in "ab"], jobs=4)
+        assert list(dispatch(abs, [-1, -2], 4, monitor=monitor)) == [
+            (0, 1), (1, 2)]
+        assert started == [2]
+        assert [e["jobs"] for e in monitor.events
+                if e["event"] == "worker_up"] == [2]
+
 
 class TestEnvValidation:
     def test_malformed_trace_len_raises_config_error(self, monkeypatch):
