@@ -37,8 +37,9 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
 
 # Regenerate tests/data/fingerprint.json, the tier-1 pin of the
-# functional trace, fast-forward, functional warming and SimStats of
-# every workload (tests/test_fingerprint.py asserts exact equality).
+# functional trace, fast-forward, functional warming, SimStats and
+# traced event streams of every workload (tests/test_fingerprint.py
+# asserts exact equality).
 fingerprint:
 	$(PYTHON) benchmarks/fingerprint.py
 

@@ -11,7 +11,12 @@ fingerprint stores sha256 hashes of:
   functional-warming hook installed;
 * ``train_events`` — each hook's own event stream from that skip;
 * ``stats/<clusters>c/<predictor>-<steering>`` — the canonical
-  :class:`SimStats` at {1, 4} clusters x {none/baseline, stride/vpb}.
+  :class:`SimStats` of each :data:`SIM_CONFIGS` cell, and on three
+  workloads of each :data:`WIDE_CONFIGS` cell: together 1, 2 and 4
+  clusters, every predictor family and every steering scheme;
+* ``events/<clusters>c/<predictor>-<steering>`` — the same cell's full
+  traced event stream (a :class:`ListSink` tracer), which pins dispatch
+  order, copy and verification-copy traffic and every steering reason.
 
 ``tests/test_fingerprint.py`` recomputes every hash and asserts exact
 equality, so any change to ISA semantics, training or timing shows up
@@ -36,6 +41,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 
 from repro.core import make_config, simulate
 from repro.isa.executor import FunctionalExecutor
+from repro.obs import EventTracer, ListSink
+from repro.steering import profile_static_assignment
 from repro.workloads import build_workload, workload_names
 
 FINGERPRINT_PATH = (pathlib.Path(__file__).resolve().parent.parent
@@ -47,9 +54,21 @@ TRACE_LENGTH = 3_000
 SKIP_LENGTH = 20_000
 #: Instructions simulated per timing cell.
 SIM_LENGTH = 800
-#: Timing configurations: (clusters, predictor, steering).
+#: Timing configurations run on every workload: (clusters, predictor,
+#: steering).
 SIM_CONFIGS = ((1, "none", "baseline"), (1, "stride", "vpb"),
+               (2, "none", "baseline"), (2, "stride", "vpb"),
                (4, "none", "baseline"), (4, "stride", "vpb"))
+#: Further configurations, run on :data:`WIDE_WORKLOADS` only to keep
+#: the test short: every other predictor family and every other
+#: steering scheme.  Static steering runs with an assignment
+#: profiled from the cell's own trace.
+WIDE_CONFIGS = ((1, "none", "dependence-only"), (1, "stride", "static"),
+                (2, "context", "modified"), (2, "stride", "static"),
+                (2, "stride", "dependence-only"), (4, "hybrid", "vpb"),
+                (4, "perfect", "vpb"), (4, "none", "round-robin"),
+                (4, "stride", "balance-only"))
+WIDE_WORKLOADS = ("cjpeg", "g721enc", "mpeg2enc")
 
 
 def _sha(obj) -> str:
@@ -88,13 +107,31 @@ def skip_hashes(name: str):
             _sha(sorted(events.items())))
 
 
-def stats_hash(name: str, clusters: int, predictor: str,
-               steering: str) -> str:
-    config = make_config(clusters, predictor=predictor, steering=steering)
+def _cell_config(name: str, clusters: int, predictor: str, steering: str):
+    overrides = {}
+    if steering == "static":
+        trace = FunctionalExecutor(build_workload(name), SIM_LENGTH).run()
+        overrides["static_assignment"] = profile_static_assignment(
+            trace, clusters)
+    return make_config(clusters, predictor=predictor, steering=steering,
+                       **overrides)
+
+
+def cell_hashes(name: str, clusters: int, predictor: str,
+                steering: str):
+    """``(stats, events)`` hashes of one traced timing cell.
+
+    Observers never change a run (tests/obs/test_noninvasive.py), so
+    the traced run's :class:`SimStats` are the untraced run's.
+    """
+    config = _cell_config(name, clusters, predictor, steering)
+    sink = ListSink()
     result = simulate(build_workload(name), config,
-                      max_instructions=SIM_LENGTH)
+                      max_instructions=SIM_LENGTH,
+                      tracer=EventTracer(sink))
     blob = json.dumps(dataclasses.asdict(result.stats), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest(), _sha(
+        sink.events)
 
 
 def compute() -> dict:
@@ -104,9 +141,13 @@ def compute() -> dict:
         plain, trained, events = skip_hashes(name)
         entry = {"trace": trace_hash(name), "skip": plain,
                  "trained_skip": trained, "train_events": events}
-        for clusters, predictor, steering in SIM_CONFIGS:
-            key = f"stats/{clusters}c/{predictor}-{steering}"
-            entry[key] = stats_hash(name, clusters, predictor, steering)
+        configs = SIM_CONFIGS
+        if name in WIDE_WORKLOADS:
+            configs += WIDE_CONFIGS
+        for clusters, predictor, steering in configs:
+            cell = f"{clusters}c/{predictor}-{steering}"
+            entry["stats/" + cell], entry["events/" + cell] = cell_hashes(
+                name, clusters, predictor, steering)
         out[name] = entry
     return out
 

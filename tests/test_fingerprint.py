@@ -1,6 +1,7 @@
 """The committed fingerprint (``tests/data/fingerprint.json``) pins the
 functional trace, both fast-forward paths, the functional-warming
-events and the timing model's statistics for every suite workload.
+events, and the timing model's statistics and traced event streams for
+every suite workload.
 
 A mismatch means behaviour changed.  If the change is intended,
 regenerate with ``make fingerprint`` and say why in CHANGES.md.
