@@ -14,7 +14,7 @@ ifneq ($(CACHE_DIR),)
 export REPRO_CACHE := $(CACHE_DIR)
 endif
 
-.PHONY: test benchmarks bench-wallclock bench-smoke cache-stats \
+.PHONY: test ab-cells benchmarks bench-wallclock bench-smoke cache-stats \
 	cache-clear campaign check clean-results fingerprint obs-check \
 	report sample-check telemetry-check trace-demo
 
@@ -35,6 +35,13 @@ bench-wallclock:
 # smoke_guard entry in BENCH_sweep.json.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
+
+# Cell-interleaved A/B timing of the detailed core against another
+# revision (checked out into a temporary git worktree): identical
+# SimStats per cell, total and per-configuration time ratios.
+# Usage: make ab-cells BASE=<rev>
+ab-cells:
+	$(PYTHON) benchmarks/ab_cells.py --base $(BASE)
 
 # Regenerate tests/data/fingerprint.json, the tier-1 pin of the
 # functional trace, fast-forward, functional warming, SimStats and
