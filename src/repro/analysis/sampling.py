@@ -306,12 +306,13 @@ class _WarmState:
     One value predictor, direction predictor, BTB, and memory
     hierarchy are built from the processor configuration, trained
     continuously during fast-forward (through the executor's compiled
-    hooks) and *adopted* by each window's processor in place of its
-    own cold instances.  The stream these components observe —
-    fast-forward training between windows, real front-end/decode
-    traffic inside them — is the same committed instruction stream an
-    uninterrupted detailed run would have shown them, so each window
-    opens with faithfully warmed microarchitectural state.
+    hooks) and handed to each window's processor when it is built
+    (``Processor(..., warm=state)``), so no window builds cold ones.
+    The stream these components observe — fast-forward training
+    between windows, real front-end/decode traffic inside them — is
+    the same committed instruction stream an uninterrupted detailed run
+    would have shown them, so each window opens with faithfully warmed
+    microarchitectural state.
     """
 
     def __init__(self, config: ProcessorConfig) -> None:
@@ -333,17 +334,6 @@ class _WarmState:
             code=self.memory.fetch_latency,
             value_factory=getattr(self.vp, "trainer", None),
             branch_factory=getattr(self.bpred, "trainer", None))
-
-    def adopt(self, processor: Processor) -> None:
-        """Swap this shared state into a freshly built *processor*."""
-        processor.vp = self.vp
-        processor.bpred = self.bpred
-        processor.btb = self.btb
-        processor.memory = self.memory
-        fetch = processor.fetch
-        fetch._bpred = self.bpred
-        fetch._btb = self.btb
-        fetch._icache_access = self.memory.fetch_latency
 
 
 def _seeded_golden(executor: FunctionalExecutor, config: ProcessorConfig):
@@ -438,10 +428,9 @@ def simulate_sampled(workload, config: ProcessorConfig,
             break
 
         golden = _seeded_golden(executor, config) if check else None
-        processor = Processor(config, executor.run(), golden=golden)
+        processor = Processor(config, executor.run(), golden=golden,
+                              warm=warm)
         processor.trace_executor = executor
-        if warm is not None:
-            warm.adopt(processor)
 
         base_insts = processor.stats.committed_insts
         processor.run_until(max_insts=sampling.warmup)

@@ -26,7 +26,7 @@ everything that used its result, through the normal issue mechanism.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, FUPool, NEVER, NEXT_TRY_IDLE
 from ..errors import ConfigError, SimulationError
@@ -34,6 +34,7 @@ from ..frontend import (BranchTargetBuffer, CombinedPredictor,
                         FetchEngine, FetchedInst)
 from ..interconnect import Interconnect
 from ..isa.instruction import DynInst
+from ..isa.opcodes import OPCODES
 from ..isa.registers import NUM_LOGICAL_REGS, ZERO_REG, is_fp_reg
 from ..memory import MemoryHierarchy
 from ..obs.events import (EV_COMMIT, EV_COMPLETE, EV_COPY_SEND,
@@ -44,11 +45,9 @@ from ..obs.tracer import POSTMORTEM_WINDOW
 from ..predictor import (ContextPredictor, HybridPredictor, NullPredictor,
                          PerfectPredictor, StridePredictor, ValuePredictor)
 from ..rename import RenameUnit
-from ..rename.renamer import FP_BANK, INT_BANK
 from ..steering import (BalanceOnlySteerer, BaselineSteerer, DCountTracker,
                         DependenceOnlySteerer, ModifiedSteerer, NReadyMeter,
-                        RoundRobinSteerer, SourceView, StaticSteerer,
-                        VPBSteerer)
+                        RoundRobinSteerer, StaticSteerer, VPBSteerer)
 from ..validation.watchdog import (ClusterSnapshot, PipelineSnapshot,
                                    PipelineWatchdog)
 from .config import ProcessorConfig
@@ -62,6 +61,12 @@ __all__ = ["Processor"]
 _EV_COMPLETE = 0
 _EV_VERIFY = 1
 _EV_VDELIVER = 2
+
+#: The zero register's steering view (SourceView's fields): always
+#: available, mapped nowhere.
+_ZERO_VIEW = (ZERO_REG, False, True, frozenset(), None, False)
+#: Per-slot predictions with value prediction off.
+_NO_PREDICTIONS = (None,) * max(info.num_srcs for info in OPCODES.values())
 
 
 def _build_steerer(config: ProcessorConfig):
@@ -120,6 +125,9 @@ class Processor:
             stages emit typed events into it (docs/OBSERVABILITY.md).
         profiler: optional :class:`~repro.obs.PhaseProfiler`; the run
             loop attributes host wall-clock to its pipeline stages.
+        warm: optional pre-trained state with ``vp``, ``bpred``, ``btb``
+            and ``memory`` attributes (the sampler's functionally warmed
+            components), used instead of building cold ones.
 
     All three observers are strictly read-only: with any combination
     installed, the committed instruction stream and every ``SimStats``
@@ -128,7 +136,7 @@ class Processor:
 
     def __init__(self, config: ProcessorConfig, trace, *,
                  golden=None, injector=None, tracer=None,
-                 profiler=None) -> None:
+                 profiler=None, warm=None) -> None:
         config.validate()
         if injector is not None and config.predictor == "perfect":
             raise ConfigError(
@@ -147,10 +155,15 @@ class Processor:
         self.stats.dispatch_per_cluster = [0] * config.n_clusters
         self.stats.issued_per_cluster = [0] * config.n_clusters
         self.stats.iq_occupancy_sum = [0] * config.n_clusters
-        self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
-        self.bpred = CombinedPredictor()
-        self.btb = (BranchTargetBuffer(config.btb_entries)
-                    if config.btb_entries else None)
+        if warm is not None:
+            self.memory, self.bpred, self.btb, self.vp = (
+                warm.memory, warm.bpred, warm.btb, warm.vp)
+        else:
+            self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
+            self.bpred = CombinedPredictor()
+            self.btb = (BranchTargetBuffer(config.btb_entries)
+                        if config.btb_entries else None)
+            self.vp = _build_predictor(config)
         self.fetch = FetchEngine(trace, self.memory.fetch_latency,
                                  self.bpred, width=config.fetch_width,
                                  buffer_capacity=config.fetch_buffer,
@@ -171,7 +184,6 @@ class Processor:
                                          config.comm_paths_per_cluster,
                                          fault_injector=injector)
         self.interconnect.tracer = tracer
-        self.vp = _build_predictor(config)
         self._vp_enabled = config.predictor != "none"
         # The perfect predictor is the paper's idealized upper bound
         # (§3.3): predictions are free and always right, so no
@@ -185,7 +197,6 @@ class Processor:
         self.rob: deque = deque()
         self._events: Dict[int, List[tuple]] = {}
         self._next_order = 0
-        self._vp_cache: Dict[int, list] = {}
         # Memory disambiguation: decoded stores whose address generation
         # has not issued yet, and issued-but-uncommitted stores by address.
         self._pending_store_addrs: set = set()
@@ -194,16 +205,26 @@ class Processor:
         # data value (the store-queue data side).
         self._stores_awaiting_data: List[Uop] = []
         self._dports_used = 0
-        # Hot-path views, hoisted once: the decode loop reads the map
-        # table and the ready scoreboards for every source operand of
-        # every instruction, so it indexes these directly instead of
-        # chasing renamer -> map_table -> _map (and cluster -> regfile
-        # -> ready) method chains per operand.
-        self._map_rows = self.renamer.map_table._map
+        # Flat hot-path state, hoisted once: decode and commit index
+        # the map table's per-register rows and mapped-cluster views,
+        # the free lists and the per-cluster scoreboards directly
+        # instead of chasing renamer -> map_table (and cluster ->
+        # regfile) method chains per operand.
+        self._rob_size = config.rob_size
+        map_table = self.renamer.map_table
+        self._map_table = map_table
+        self._map_rows = map_table._map
+        self._mapped_lists = map_table._mapped
+        self._mapped_sets = map_table._mapped_sets
+        self._free_lists = self.renamer.free_lists
         self._ready_arrays = [cl.regfile.ready for cl in self.clusters]
-        # The zero register's steering view never changes; share one.
-        self._zero_view = SourceView(ZERO_REG, False, True, frozenset(),
-                                     None, False)
+        self._producer_arrays = [cl.regfile.producer
+                                 for cl in self.clusters]
+        # Steering views are built only for a steerer that reads them;
+        # the per-slot scan also finds copy sources, which exist only
+        # with more than one cluster.
+        self._scan_sources = (config.n_clusters > 1
+                              or self.steerer.reads_sources)
         self.cycle = 0
         self.watchdog = PipelineWatchdog(config.deadlock_cycles,
                                          self.pipeline_snapshot)
@@ -519,6 +540,9 @@ class Processor:
         retired = 0
         budget = self.config.retire_width
         tracer = self._tracer
+        free_lists = self._free_lists
+        pregs_per_bank = self.config.pregs_per_cluster
+        clusters = self.clusters
         while rob and retired < budget:
             uop = rob[0]
             if (uop.state != STATE_DONE or uop.unverified > 0
@@ -535,12 +559,16 @@ class Processor:
             rob.popleft()
             uop.state = STATE_COMMITTED
             retired += 1
-            if uop.free_on_commit:
-                self.renamer.release(uop.free_on_commit)
-                for fcluster, fpreg in uop.free_on_commit:
-                    self.clusters[fcluster].regfile.clear(fpreg)
+            row = uop.free_on_commit
+            if row is not None:
+                # Free the replaced mapping set straight on the pools.
+                for fcluster, fpreg in enumerate(row):
+                    if fpreg is not None:
+                        free_lists[fcluster][fpreg >= pregs_per_bank].free(
+                            fpreg)
+                        clusters[fcluster].regfile.clear(fpreg)
             if uop.dest_preg is not None:
-                self.clusters[uop.dest_cluster].regfile.producer[
+                clusters[uop.dest_cluster].regfile.producer[
                     uop.dest_preg] = None
             uop.readers = []
             if tracer is not None:
@@ -963,311 +991,239 @@ class Processor:
     # ---------------------------------------------------------------- decode --
 
     def _decode(self, cycle: int) -> None:
+        buffer = self.fetch._buffer
+        decode_one = self._decode_one
         budget = self.config.decode_width
         decoded = 0
-        while decoded < budget:
-            fetched = self.fetch.peek_decodable(cycle)
-            if fetched is None:
+        while (decoded < budget and buffer
+               and buffer[0].fetch_cycle < cycle):
+            if not decode_one(buffer[0], cycle):
                 break
-            if not self._decode_one(fetched, cycle):
-                break
-            self.fetch.pop_one()
+            buffer.popleft()
             decoded += 1
 
-    def _decode_one(self, fetched: FetchedInst, cycle: int) -> bool:
-        """Steer+rename+dispatch one instruction; False on a stall.
+    def _predict(self, dyn: DynInst) -> List[Optional[Tuple[bool, bool]]]:
+        """Value predictions for *dyn*'s source slots, one entry each.
 
-        The per-slot work — value prediction, steering view, operand
-        plan, resource check — is fused into straight-line passes here:
-        decode dominates host time, and the per-slot helper calls this
-        replaced used to cost more than the work they did.
-
-        Plan entries (consumed by ``_check_resources``/``_dispatch``):
-          ("zero",)
-          ("local", preg)                      value ready or will be, here
-          ("pred_local", preg, correct, injected)  speculate; producer
-                                                   verifies
-          ("copy", logical, src_cluster)       demand-generated copy
-          ("copy_dup", logical, first_slot)    second read of a copied reg
-          ("vcopy", logical, src_cluster, correct, injected)
-                                               predicted remote operand
+        An entry is ``None`` (no confident prediction) or ``(correct,
+        injected)``; *injected* marks a prediction corrupted by the
+        fault harness.  Each call advances the predictor, so the decode
+        stage calls this once per instruction.
         """
-        dyn = fetched.dyn
-        if len(self.rob) >= self.config.rob_size:
+        injector = self._injector
+        srcs_fp = dyn.srcs_fp
+        src_values = dyn.src_values
+        predict_update = self.vp.predict_update
+        pc = dyn.pc
+        predictions: List[Optional[Tuple[bool, bool]]] = []
+        for slot, logical in enumerate(dyn.srcs):
+            if logical == ZERO_REG or srcs_fp[slot]:
+                predictions.append(None)
+                continue
+            actual = src_values[slot]
+            value, confident = predict_update(pc, slot, actual)
+            if not confident:
+                predictions.append(None)
+                continue
+            injected = False
+            if injector is not None:
+                corrupted = injector.corrupt_prediction(pc, slot, actual)
+                if corrupted is not None:
+                    value, injected = corrupted, True
+            predictions.append((value == actual, injected))
+        return predictions
+
+    def _decode_one(self, fetched: FetchedInst, cycle: int) -> bool:
+        """Steer, rename and dispatch one instruction; False on a stall.
+
+        One pass over the source slots builds the steering views (only
+        when the steerer reads them: a one-cluster Baseline-family
+        machine builds none), a second builds the instruction's
+        operands in the chosen cluster; after the resource
+        check, dispatch finishes those same Operands.  Nothing is
+        mutated before the check passes, so a stalled instruction is
+        steered afresh next cycle — except its value predictions, made
+        once and kept on *fetched* so predictor state advances once per
+        instruction.
+
+        Operand forms (§2.1/§2.2): ``MODE_ZERO``; ``MODE_LOCAL`` with a
+        local preg; ``MODE_PRED`` with a local preg (the producer
+        verifies); and, for a source not mapped in the chosen cluster,
+        ``MODE_PRED`` without a preg (a verification-copy verifies) or
+        ``MODE_LOCAL`` without a preg (a copy supplies the replica at
+        dispatch; a second read of the same register shares it).
+        """
+        stats = self.stats
+        if len(self.rob) >= self._rob_size:
             # Any dispatch needs at least one ROB slot, whatever cluster
             # steering would pick: stall before paying for prediction
-            # and steering work that cannot be used this cycle.  (The
-            # prediction cache keeps predictor state per-instruction
-            # exact across the deferral.)
-            stats = self.stats
-            stats.decode_stalls["rob"] = stats.decode_stalls.get("rob", 0) + 1
+            # and steering work that cannot be used this cycle.
+            stalls = stats.decode_stalls
+            stalls["rob"] = stalls.get("rob", 0) + 1
             return False
+        dyn = fetched.dyn
         srcs = dyn.srcs
-        # Value predictions: computed exactly once per DynInst (stall
-        # retries reuse the cached entries so predictor state and the
-        # accuracy stats advance once per instruction).  Entries are
-        # None or (value, correct, injected) triples; *injected* marks
-        # a prediction corrupted by the fault harness.
-        predictions = self._vp_cache.get(dyn.seq)
+        predictions = fetched.predictions
         if predictions is None:
-            predictions = []
-            if not self._vp_enabled:
-                for _ in srcs:
-                    predictions.append(None)
-            else:
-                injector = self._injector
-                srcs_fp = dyn.srcs_fp
-                src_values = dyn.src_values
-                predict_update = self.vp.predict_update
-                pc = dyn.pc
-                for slot, logical in enumerate(srcs):
-                    if logical == ZERO_REG or srcs_fp[slot]:
-                        predictions.append(None)
-                        continue
-                    actual = src_values[slot]
-                    value, confident = predict_update(pc, slot, actual)
-                    if not confident:
-                        predictions.append(None)
-                        continue
-                    injected = False
-                    if injector is not None:
-                        corrupted = injector.corrupt_prediction(pc, slot,
-                                                                actual)
-                        if corrupted is not None:
-                            value, injected = corrupted, True
-                    predictions.append((value, value == actual, injected))
-            self._vp_cache[dyn.seq] = predictions
-        # Steering views: one pass over the slots.  A single-mapped
-        # operand (the overwhelmingly common case) needs no tournament.
-        map_table = self.renamer.map_table
-        mapped_clusters = map_table.mapped_clusters
-        mapped_set = map_table.mapped_set
+            predictions = fetched.predictions = (
+                self._predict(dyn) if self._vp_enabled
+                else _NO_PREDICTIONS)
         map_rows = self._map_rows
         ready_arrays = self._ready_arrays
-        srcs_fp = dyn.srcs_fp
-        views: List[SourceView] = []
-        soonest: List[Optional[int]] = []
-        for slot, logical in enumerate(srcs):
-            if logical == ZERO_REG:
-                views.append(self._zero_view)
-                soonest.append(None)
-                continue
-            mapped = mapped_clusters(logical)
-            row = map_rows[logical]
-            if len(mapped) == 1:
-                best = mapped[0]
-                best_ready = ready_arrays[best][row[best]]
-            else:
-                best = None
-                best_ready = NEVER + 1
-                for cluster_id in mapped:
-                    preg = row[cluster_id]
-                    ready = ready_arrays[cluster_id][preg]
-                    if ready < best_ready:
-                        best_ready = ready
-                        best = cluster_id
-                    elif ready == best_ready and ready >= NEVER:
-                        # Tie between unscheduled producers: prefer the
-                        # defining instruction's cluster over an
-                        # unissued copy's target.
-                        producer = (
-                            self.clusters[cluster_id].regfile.producer[preg])
-                        if producer is not None and producer.kind == KIND_INST:
-                            best = cluster_id
-            views.append(SourceView(logical, srcs_fp[slot],
-                                    best_ready <= cycle, mapped_set(logical),
-                                    best, predictions[slot] is not None))
-            soonest.append(best)
-        cluster_id = self.steerer.choose(views, self.dcount, pc=dyn.pc)
-        if self._injector is not None:
-            cluster_id = self._injector.flip_steering(
+        soonest = None
+        if self._scan_sources:
+            # Steering views as plain tuples (SourceView's fields), and
+            # per slot the mapped cluster producing the value soonest —
+            # the source of any copy or verification-copy.  A single-
+            # mapped operand (the common case) needs no tournament.
+            mapped_lists = self._mapped_lists
+            mapped_sets = self._mapped_sets
+            srcs_fp = dyn.srcs_fp
+            views = []
+            soonest = []
+            for slot, logical in enumerate(srcs):
+                if logical == ZERO_REG:
+                    views.append(_ZERO_VIEW)
+                    soonest.append(None)
+                    continue
+                mapped = mapped_lists[logical]
+                row = map_rows[logical]
+                if len(mapped) == 1:
+                    best = mapped[0]
+                    best_ready = ready_arrays[best][row[best]]
+                else:
+                    best = None
+                    best_ready = NEVER + 1
+                    for cid in mapped:
+                        preg = row[cid]
+                        ready = ready_arrays[cid][preg]
+                        if ready < best_ready:
+                            best_ready = ready
+                            best = cid
+                        elif ready == best_ready and ready >= NEVER:
+                            # Tie between unscheduled producers: prefer
+                            # the defining instruction's cluster over an
+                            # unissued copy's target.
+                            producer = self._producer_arrays[cid][preg]
+                            if (producer is not None
+                                    and producer.kind == KIND_INST):
+                                best = cid
+                views.append((logical, srcs_fp[slot], best_ready <= cycle,
+                              mapped_sets[logical], best,
+                              predictions[slot] is not None))
+                soonest.append(best)
+            cluster_id = self.steerer.choose(views, self.dcount, dyn.pc)
+        else:
+            cluster_id = self.steerer.choose((), self.dcount, dyn.pc)
+        injector = self._injector
+        if injector is not None:
+            cluster_id = injector.flip_steering(
                 cluster_id, self.config.n_clusters, dyn.pc)
-        # Operand plan (see §2.1/§2.2), fused with the slot loop above
-        # gone: decide the handling of each source operand.
+        # The instruction's operands in the chosen cluster.
         ready = ready_arrays[cluster_id]
-        plan: List[tuple] = []
-        copy_planned = None                 # logical -> slot of first copy
-        helpers_needed = False
+        operands: List[Operand] = []
+        pending: Optional[List[Operand]] = None   # finished at dispatch
+        copies: Optional[Dict[int, Operand]] = None  # logical -> 1st read
+        helpers = 0                               # copies + vcopies
         for slot, logical in enumerate(srcs):
             if logical == ZERO_REG:
-                plan.append(("zero",))
-                continue
-            if copy_planned is not None and logical in copy_planned:
-                # Same logical register twice: one copy serves both reads.
-                plan.append(("copy_dup", logical, copy_planned[logical]))
+                operands.append(Operand(MODE_ZERO, None, True, slot))
                 continue
             prediction = predictions[slot]
-            if cluster_id in views[slot].mapped:
-                preg = map_rows[logical][cluster_id]
-                if prediction is not None and ready[preg] > cycle:
-                    # §2.2: source not yet available and confident ->
-                    # dispatch speculatively; the producer verifies.
-                    plan.append(("pred_local", preg, prediction[1],
-                                 prediction[2]))
-                else:
-                    plan.append(("local", preg))
+            preg = map_rows[logical][cluster_id]
+            if preg is not None:
+                if prediction is None or ready[preg] <= cycle:
+                    operands.append(Operand(MODE_LOCAL, preg, True, slot))
+                    continue
+                # §2.2: source not yet available and confident ->
+                # dispatch speculatively; the producer verifies.
+                operand = Operand(MODE_PRED, preg, prediction[0], slot,
+                                  prediction[1])
+            elif copies is not None and logical in copies:
+                # Same logical register twice: one copy serves both.
+                operand = Operand(MODE_LOCAL, None, True, slot)
             elif prediction is not None:
                 # §2.2 extension: operand not mapped here -> predict it
                 # regardless of availability, verify with a vcopy.
-                plan.append(("vcopy", logical, soonest[slot],
-                             prediction[1], prediction[2]))
-                helpers_needed = True
+                operand = Operand(MODE_PRED, None, prediction[0], slot,
+                                  prediction[1])
+                helpers += 1
             else:
-                plan.append(("copy", logical, soonest[slot]))
-                helpers_needed = True
-                if copy_planned is None:
-                    copy_planned = {}
-                copy_planned[logical] = slot
-        # Resource check: inline fast path when only the instruction
-        # itself needs resources; the general accounting lives in
-        # _check_resources.
-        stats = self.stats
-        if helpers_needed:
-            stall = self._check_resources(dyn, cluster_id, plan)
+                # Demand-generated copy (§2.1).
+                operand = Operand(MODE_LOCAL, None, True, slot)
+                helpers += 1
+                if copies is None:
+                    copies = {}
+                copies[logical] = operand
+            operands.append(operand)
+            if pending is None:
+                pending = [operand]
+            else:
+                pending.append(operand)
+        dest = dyn.dest
+        renames = dest is not None and dest != ZERO_REG
+        free_lists = self._free_lists
+        clusters = self.clusters
+        if helpers:
+            stall = self._check_resources(dyn, cluster_id, helpers, pending,
+                                          soonest, copies)
+        elif renames and not free_lists[cluster_id][dyn.dest_fp].available:
+            stall = "pregs"
         else:
-            stall = None
-            if len(self.rob) >= self.config.rob_size:
-                stall = "rob"
-            else:
-                dest = dyn.dest
-                if (dest is not None and dest != ZERO_REG
-                        and not self.renamer.free_count(
-                            cluster_id,
-                            FP_BANK if dyn.dest_fp else INT_BANK)):
-                    stall = "pregs"
-                else:
-                    cluster = self.clusters[cluster_id]
-                    queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
-                    if len(queue._entries) >= queue.capacity:
-                        stall = "iq"
-        if stall is not None:
-            stats.decode_stalls[stall] = (
-                stats.decode_stalls.get(stall, 0) + 1)
-            return False
-        self._dispatch(fetched, cluster_id, plan, cycle)
-        return True
-
-    def _check_resources(self, dyn: DynInst, cluster_id: int,
-                         plan: Sequence[tuple]) -> Optional[str]:
-        copies = [entry for entry in plan if entry[0] == "copy"]
-        vcopies = [entry for entry in plan if entry[0] == "vcopy"]
-        if not copies and not vcopies:
-            # Fast path: only the instruction itself needs resources —
-            # the overwhelmingly common case once operands are local or
-            # predicted.
-            if len(self.rob) >= self.config.rob_size:
-                return "rob"
-            dest = dyn.dest
-            if dest is not None and dest != ZERO_REG:
-                bank = FP_BANK if dyn.dest_fp else INT_BANK
-                if not self.renamer.free_count(cluster_id, bank):
-                    return "pregs"
-            cluster = self.clusters[cluster_id]
+            cluster = clusters[cluster_id]
             queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
-            if len(queue._entries) >= queue.capacity:
-                return "iq"
-            return None
-        rob_needed = 1 + len(copies) + len(vcopies)
-        if len(self.rob) + rob_needed > self.config.rob_size:
-            return "rob"
-        # Free physical registers, per bank, in the consumer cluster
-        # (copy replicas land there too).
-        pregs_needed = [0, 0]
-        for entry in copies:
-            pregs_needed[RenameUnit.bank_of(entry[1])] += 1
-        if dyn.dest is not None and dyn.dest != ZERO_REG:
-            pregs_needed[RenameUnit.bank_of(dyn.dest)] += 1
-        for bank in (0, 1):
-            if (pregs_needed[bank]
-                    and self.renamer.free_count(cluster_id, bank)
-                    < pregs_needed[bank]):
-                return "pregs"
-        # Issue-queue space: the instruction in its cluster/side, each
-        # (v)copy in its source cluster on the value's side.
-        iq_needed: Dict[Tuple[int, bool], int] = {}
-        own = (cluster_id, dyn.is_int)
-        iq_needed[own] = 1
-        for entry in copies:
-            key = (entry[2], not is_fp_reg(entry[1]))
-            iq_needed[key] = iq_needed.get(key, 0) + 1
-        for entry in vcopies:
-            key = (entry[2], True)
-            iq_needed[key] = iq_needed.get(key, 0) + 1
-        for (cid, int_side), count in iq_needed.items():
-            if self.clusters[cid].iq_for(int_side).space_left() < count:
-                return "iq"
-        return None
+            stall = "iq" if len(queue._entries) >= queue.capacity else None
+        if stall is not None:
+            stalls = stats.decode_stalls
+            stalls[stall] = stalls.get(stall, 0) + 1
+            return False
 
-    def _dispatch(self, fetched: FetchedInst, cluster_id: int,
-                  plan: Sequence[tuple], cycle: int) -> None:
-        dyn = fetched.dyn
+        # ---- dispatch ----
         min_issue = cycle + 1 + self.config.extra_rename_cycles
-        uop = Uop(KIND_INST, dyn, 0, cluster_id, dyn.is_int, dyn.opclass)
+        uop = Uop(KIND_INST, dyn, 0, cluster_id, dyn.is_int, dyn.opclass,
+                  operands)
         uop.min_issue_cycle = min_issue
         uop.mispredicted_branch = fetched.mispredicted
-        operands = uop.operands
-        stats = self.stats
-        helpers = None
-        for slot, entry in enumerate(plan):
-            kind = entry[0]
-            if kind == "local":
-                operands.append(Operand(MODE_LOCAL, entry[1], slot=slot))
-            elif kind == "zero":
-                operands.append(Operand(MODE_ZERO, slot=slot))
-            elif kind == "pred_local":
-                _, preg, correct, injected = entry
-                operand = Operand(MODE_PRED, preg, correct, slot=slot,
-                                  injected=injected)
-                operands.append(operand)
-                if injected:
-                    self._injector.note_value_injected(dyn.pc, slot)
-                stats.speculative_operands += 1
-                if not correct:
-                    stats.mispredicted_operands += 1
-                if self._oracle:
-                    operand.verified = True
-                else:
+        helper_uops = None
+        if pending is not None:
+            for operand in pending:
+                slot = operand.slot
+                if operand.mode == MODE_PRED:
+                    if operand.injected:
+                        injector.note_value_injected(dyn.pc, slot)
+                    stats.speculative_operands += 1
+                    if not operand.correct:
+                        stats.mispredicted_operands += 1
+                    if self._oracle:
+                        operand.verified = True
+                        continue
                     uop.unverified += 1
-                    self._register_verification(cluster_id, preg, uop,
-                                                operand, cycle)
-            elif kind == "copy":
-                _, logical, src_cluster = entry
-                if helpers is None:
-                    helpers = []
-                helpers.append(self._make_copy(logical, src_cluster,
-                                               cluster_id, uop, slot,
-                                               min_issue))
-            elif kind == "copy_dup":
-                # Second read of a logical register already being copied
-                # by this instruction: share the replica.
-                _, logical, first_slot = entry
-                operands.append(Operand(
-                    MODE_LOCAL, operands[first_slot].preg, slot=slot))
-            else:  # vcopy
-                _, logical, src_cluster, correct, injected = entry
-                operand = Operand(MODE_PRED, None, correct, slot=slot,
-                                  injected=injected)
-                operands.append(operand)
-                if injected:
-                    self._injector.note_value_injected(dyn.pc, slot)
-                stats.speculative_operands += 1
-                if not correct:
-                    stats.mispredicted_operands += 1
-                if self._oracle:
-                    operand.verified = True
+                    if operand.preg is not None:
+                        self._register_verification(cluster_id, operand.preg,
+                                                    uop, operand, cycle)
+                        continue
+                    helper = self._make_vcopy(srcs[slot], soonest[slot], uop,
+                                              operand, min_issue)
                 else:
-                    uop.unverified += 1
-                    if helpers is None:
-                        helpers = []
-                    helpers.append(self._make_vcopy(logical, src_cluster,
-                                                    uop, operand, min_issue))
-        clusters = self.clusters
-        # Destination rename (Figure 1).
-        if dyn.dest is not None and dyn.dest != ZERO_REG:
-            preg, previous = self.renamer.define_dest(dyn.dest, cluster_id)
+                    logical = srcs[slot]
+                    first = copies[logical]
+                    if first is not operand:
+                        operand.preg = first.preg   # share the replica
+                        continue
+                    helper = self._make_copy(logical, soonest[slot],
+                                             cluster_id, uop, operand,
+                                             min_issue)
+                if helper_uops is None:
+                    helper_uops = [helper]
+                else:
+                    helper_uops.append(helper)
+        # Destination rename (Figure 1), straight on the free list.
+        if renames:
+            preg = free_lists[cluster_id][dyn.dest_fp].alloc()
             uop.dest_preg = preg
             uop.dest_cluster = cluster_id
-            uop.free_on_commit = previous
+            uop.free_on_commit = self._map_table.define(dest, cluster_id,
+                                                        preg)
             clusters[cluster_id].regfile.set_pending(preg, uop)
         # Helpers precede the instruction in dispatch (and ROB) order.
         # Issue-queue insertion is IssueQueue.dispatch() inlined: append
@@ -1275,8 +1231,8 @@ class Processor:
         tracer = self._tracer
         next_order = self._next_order
         rob_append = self.rob.append
-        if helpers is not None:
-            for helper in helpers:
+        if helper_uops is not None:
+            for helper in helper_uops:
                 helper.order = next_order
                 next_order += 1
                 rob_append(helper)
@@ -1317,13 +1273,54 @@ class Processor:
         self.steerer.notify_dispatch(cluster_id)
         stats.dispatched_insts += 1
         stats.dispatch_per_cluster[cluster_id] += 1
-        self._vp_cache.pop(dyn.seq, None)
+        return True
+
+    def _check_resources(self, dyn: DynInst, cluster_id: int, helpers: int,
+                         pending: List[Operand], soonest: List[int],
+                         copies: Optional[Dict[int, Operand]]
+                         ) -> Optional[str]:
+        """Stall reason of an instruction needing copies or vcopies.
+
+        Needs: a ROB entry per helper plus one; free registers in the
+        consumer cluster for the destination and each copy's replica;
+        issue-queue space for the instruction in its cluster and side,
+        and for each helper in its source cluster on the value's side.
+        """
+        if len(self.rob) + 1 + helpers > self._rob_size:
+            return "rob"
+        srcs = dyn.srcs
+        pregs_needed = [0, 0]
+        if dyn.dest is not None and dyn.dest != ZERO_REG:
+            pregs_needed[dyn.dest_fp] += 1
+        iq_needed: Dict[Tuple[int, bool], int] = {(cluster_id, dyn.is_int): 1}
+        for operand in pending:
+            if operand.preg is not None:
+                continue                      # speculative local read
+            slot = operand.slot
+            if operand.mode == MODE_PRED:
+                key = (soonest[slot], True)   # verification-copy
+            else:
+                logical = srcs[slot]
+                if copies[logical] is not operand:
+                    continue                  # shares an earlier copy
+                fp = is_fp_reg(logical)
+                pregs_needed[fp] += 1
+                key = (soonest[slot], not fp)
+            iq_needed[key] = iq_needed.get(key, 0) + 1
+        free = self._free_lists[cluster_id]
+        for bank in (0, 1):
+            if free[bank].available < pregs_needed[bank]:
+                return "pregs"
+        for (cid, int_side), count in iq_needed.items():
+            if self.clusters[cid].iq_for(int_side).space_left() < count:
+                return "iq"
+        return None
 
     def _register_verification(self, cluster_id: int, preg: int,
                                consumer: Uop, operand: Operand,
                                cycle: int) -> None:
         """Attach a local prediction to its producer for writeback checks."""
-        producer = self.clusters[cluster_id].regfile.producer[preg]
+        producer = self._producer_arrays[cluster_id][preg]
         if producer is None or producer.state == STATE_COMMITTED:
             # The value became architectural between the view and now;
             # the speculation trivially verifies against a final value.
@@ -1341,27 +1338,28 @@ class Processor:
                            (_EV_VERIFY, producer, producer.generation))
 
     def _make_copy(self, logical: int, src_cluster: int, dst_cluster: int,
-                   consumer: Uop, slot: int, min_issue: int) -> Uop:
-        src_preg = self.renamer.mapping(logical, src_cluster)
+                   consumer: Uop, operand: Operand, min_issue: int) -> Uop:
+        """A copy of *logical* into a fresh replica in *dst_cluster*,
+        which becomes *operand*'s register."""
+        src_preg = self._map_rows[logical][src_cluster]
         replica = self.renamer.alloc_replica(logical, dst_cluster)
-        int_side = not is_fp_reg(logical)
-        copy = Uop(KIND_COPY, consumer.dyn, 0, src_cluster, int_side, None)
+        operand.preg = replica
+        copy = Uop(KIND_COPY, consumer.dyn, 0, src_cluster,
+                   not is_fp_reg(logical), None,
+                   [Operand(MODE_LOCAL, src_preg, True, operand.slot)])
         copy.min_issue_cycle = min_issue
-        copy.operands.append(Operand(MODE_LOCAL, src_preg, slot=slot))
         copy.dest_preg = replica
         copy.dest_cluster = dst_cluster
         self.clusters[dst_cluster].regfile.set_pending(replica, copy)
-        consumer.operands.append(Operand(MODE_LOCAL, replica, slot=slot))
         self.stats.dispatched_copies += 1
         return copy
 
     def _make_vcopy(self, logical: int, src_cluster: int, consumer: Uop,
                     operand: Operand, min_issue: int) -> Uop:
-        src_preg = self.renamer.mapping(logical, src_cluster)
-        vcopy = Uop(KIND_VCOPY, consumer.dyn, 0, src_cluster, True, None)
+        src_preg = self._map_rows[logical][src_cluster]
+        vcopy = Uop(KIND_VCOPY, consumer.dyn, 0, src_cluster, True, None,
+                    [Operand(MODE_LOCAL, src_preg, True, operand.slot)])
         vcopy.min_issue_cycle = min_issue
-        vcopy.operands.append(Operand(MODE_LOCAL, src_preg,
-                                      slot=operand.slot))
         vcopy.consumer = consumer
         vcopy.consumer_operand = operand
         self.stats.dispatched_vcopies += 1

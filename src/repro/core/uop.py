@@ -89,8 +89,9 @@ class Uop:
             could still be squashed (the selective-reissue walk).
         verify_list: (consumer_uop, operand) pairs whose predictions
             this producer must verify at writeback (§2.2).
-        free_on_commit: previous-mapping (cluster, preg) pairs to
-            release at commit.
+        free_on_commit: the map-table row this INST's destination
+            replaced (per cluster, a physical register or ``None``),
+            released at commit; ``None`` without a destination.
         consumer / consumer_operand: VCOPY back-references.
         mispredicted_branch: direction predictor missed this branch.
         generation: bumped on invalidation so queued events become stale.
@@ -117,7 +118,8 @@ class Uop:
 
     def __init__(self, kind: int, dyn: Optional[DynInst], order: int,
                  cluster: int, int_side: bool,
-                 opclass: Optional[OpClass]) -> None:
+                 opclass: Optional[OpClass],
+                 operands: Optional[List[Operand]] = None) -> None:
         self.kind = kind
         self.dyn = dyn
         self.order = order
@@ -131,7 +133,8 @@ class Uop:
             self.is_load = False
             self.is_store = False
         self.iq = None
-        self.operands: List[Operand] = []
+        self.operands: List[Operand] = (operands if operands is not None
+                                        else [])
         self.dest_preg: Optional[int] = None
         self.dest_cluster: Optional[int] = None
         self.state = STATE_WAITING
@@ -142,7 +145,7 @@ class Uop:
         self.unverified = 0
         self.readers: List["Uop"] = []
         self.verify_list: List[Tuple["Uop", Operand]] = []
-        self.free_on_commit: List[Tuple[int, int]] = []
+        self.free_on_commit: Optional[List[Optional[int]]] = None
         self.consumer: Optional["Uop"] = None
         self.consumer_operand: Optional[Operand] = None
         self.mispredicted_branch = False

@@ -37,6 +37,11 @@ class OpClass(enum.Enum):
     LOAD = "load"      # memory read (address generation + cache access)
     STORE = "store"    # memory write (address generation; cache at commit)
 
+    # Members are singletons compared by identity, so identity hashing
+    # is equivalent and keeps the timing core's per-issue functional-
+    # unit and latency lookups off the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 #: Classes that execute on the integer side of a cluster (consume integer
 #: issue slots and integer functional units).

@@ -13,14 +13,19 @@ __all__ = ["FreeList"]
 
 
 class FreeList:
-    """FIFO free pool over physical register ids ``0 .. capacity-1``."""
+    """FIFO free pool over physical register ids
+    ``base .. base+capacity-1``.
 
-    def __init__(self, capacity: int) -> None:
+    A banked register file gives each bank its own pool with its own
+    *base*, so the ids a pool hands out are already the scoreboard's.
+    """
+
+    def __init__(self, capacity: int, base: int = 0) -> None:
         if capacity <= 0:
             raise ValueError("free list capacity must be positive")
         self.capacity = capacity
-        self._free = deque(range(capacity))
-        self._allocated = [False] * capacity
+        self._free = deque(range(base, base + capacity))
+        self._allocated = [False] * (base + capacity)
 
     def __len__(self) -> int:
         return len(self._free)

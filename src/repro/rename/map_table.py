@@ -11,13 +11,22 @@ writer of the logical register commits.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 __all__ = ["MapTable"]
 
 
 class MapTable:
-    """Rename map with ``n_clusters`` fields per logical register."""
+    """Rename map with ``n_clusters`` fields per logical register.
+
+    The state is flat, indexed by logical register: ``_map`` holds each
+    register's row of per-cluster physical registers, and ``_mapped`` /
+    ``_mapped_sets`` hold the clusters with a valid field as an
+    ascending list and as a frozenset.  The decode stage reads all
+    three for every source operand, so they are always current: a
+    define installs the shared one-cluster views of its cluster, and
+    only a replica, which is rarer, builds new ones.
+    """
 
     def __init__(self, n_logical: int, n_clusters: int) -> None:
         if n_logical <= 0 or n_clusters <= 0:
@@ -26,12 +35,11 @@ class MapTable:
         self.n_clusters = n_clusters
         self._map: List[List[Optional[int]]] = [
             [None] * n_clusters for _ in range(n_logical)]
-        # Steering reads the mapped-cluster view of every source operand
-        # of every decoded instruction; the views change only on
-        # define/add_replica, so they are cached per logical register.
-        self._mapped_cache: List[Optional[List[int]]] = [None] * n_logical
-        self._mapped_sets: List[Optional[FrozenSet[int]]] = (
-            [None] * n_logical)
+        self._single = [[c] for c in range(n_clusters)]
+        self._single_sets = [frozenset((c,)) for c in range(n_clusters)]
+        self._mapped: List[List[int]] = [[] for _ in range(n_logical)]
+        self._mapped_sets: List[FrozenSet[int]] = (
+            [frozenset()] * n_logical)
 
     # -- queries --------------------------------------------------------------
 
@@ -44,61 +52,43 @@ class MapTable:
         return self._map[logical][cluster] is not None
 
     def mapped_clusters(self, logical: int) -> List[int]:
-        """Clusters where *logical* currently has a valid mapping.
-
-        The returned list is a shared cache entry — treat it as
-        read-only.
-        """
-        cached = self._mapped_cache[logical]
-        if cached is None:
-            row = self._map[logical]
-            cached = [c for c in range(self.n_clusters)
-                      if row[c] is not None]
-            self._mapped_cache[logical] = cached
-        return cached
+        """Clusters where *logical* currently has a valid mapping, in
+        ascending order (a shared list — treat it as read-only)."""
+        return self._mapped[logical]
 
     def mapped_set(self, logical: int) -> FrozenSet[int]:
-        """:meth:`mapped_clusters` as a cached frozenset (steering views)."""
-        cached = self._mapped_sets[logical]
-        if cached is None:
-            cached = frozenset(self.mapped_clusters(logical))
-            self._mapped_sets[logical] = cached
-        return cached
-
-    def mappings(self, logical: int) -> List[Tuple[int, int]]:
-        """All valid (cluster, preg) pairs of *logical*."""
-        row = self._map[logical]
-        return [(c, row[c]) for c in range(self.n_clusters)
-                if row[c] is not None]
+        """:meth:`mapped_clusters` as a frozenset (steering views)."""
+        return self._mapped_sets[logical]
 
     # -- updates --------------------------------------------------------------
 
     def define(self, logical: int, cluster: int,
-               preg: int) -> List[Tuple[int, int]]:
+               preg: int) -> List[Optional[int]]:
         """Install a new destination mapping.
 
         Validates field *cluster* with *preg*, invalidates every other
-        field, and returns the complete previous mapping set — the
-        physical registers the renamer must free when this writer
-        commits (Figure 1(c) semantics).
+        field, and returns the replaced row: per cluster, the physical
+        register the renamer must free when this writer commits, or
+        ``None`` (Figure 1(c) semantics).
         """
-        previous = self.mappings(logical)
-        row = self._map[logical]
-        for c in range(self.n_clusters):
-            row[c] = None
+        row = [None] * self.n_clusters
         row[cluster] = preg
-        self._mapped_cache[logical] = None
-        self._mapped_sets[logical] = None
+        previous = self._map[logical]
+        self._map[logical] = row
+        self._mapped[logical] = self._single[cluster]
+        self._mapped_sets[logical] = self._single_sets[cluster]
         return previous
 
     def add_replica(self, logical: int, cluster: int, preg: int) -> None:
         """Validate an additional field for a copy-created replica."""
-        if self._map[logical][cluster] is not None:
+        row = self._map[logical]
+        if row[cluster] is not None:
             raise ValueError(
                 f"logical r{logical} already mapped in cluster {cluster}")
-        self._map[logical][cluster] = preg
-        self._mapped_cache[logical] = None
-        self._mapped_sets[logical] = None
+        row[cluster] = preg
+        mapped = [c for c, field in enumerate(row) if field is not None]
+        self._mapped[logical] = mapped
+        self._mapped_sets[logical] = frozenset(mapped)
 
     def live_pregs(self, cluster: int) -> List[int]:
         """Physical registers of *cluster* referenced by valid fields."""

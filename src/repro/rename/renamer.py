@@ -36,7 +36,9 @@ class RenameUnit:
 
     At reset every logical register receives one valid mapping; the
     mappings are spread round-robin over the clusters so no single free
-    pool starts depleted.
+    pool starts depleted.  ``free_lists[cluster][bank]`` hands out
+    bank-offset physical register ids directly; the timing core
+    allocates and frees on these pools itself on its hot path.
     """
 
     def __init__(self, n_logical: int, n_clusters: int,
@@ -45,8 +47,9 @@ class RenameUnit:
         self.n_clusters = n_clusters
         self.pregs_per_bank = pregs_per_bank
         self.map_table = MapTable(n_logical, n_clusters)
-        self._free: List[List[FreeList]] = [
-            [FreeList(pregs_per_bank), FreeList(pregs_per_bank)]
+        self.free_lists: List[List[FreeList]] = [
+            [FreeList(pregs_per_bank),
+             FreeList(pregs_per_bank, base=pregs_per_bank)]
             for _ in range(n_clusters)]
         self._initial: List[Tuple[int, int, int]] = []
         for logical in range(n_logical):
@@ -66,15 +69,7 @@ class RenameUnit:
         return FP_BANK if is_fp_reg(logical) else INT_BANK
 
     def _alloc(self, logical: int, cluster: int) -> Optional[int]:
-        bank = self.bank_of(logical)
-        preg = self._free[cluster][bank].alloc()
-        if preg is None:
-            return None
-        return preg + bank * self.pregs_per_bank
-
-    def _release_one(self, cluster: int, preg: int) -> None:
-        bank, index = divmod(preg, self.pregs_per_bank)
-        self._free[cluster][bank].free(index)
+        return self.free_lists[cluster][self.bank_of(logical)].alloc()
 
     # -- queries used by steering and decode ------------------------------------
 
@@ -84,15 +79,15 @@ class RenameUnit:
 
     def free_count(self, cluster: int, bank: int) -> int:
         """Free physical registers remaining in one bank of *cluster*."""
-        return self._free[cluster][bank].available
+        return self.free_lists[cluster][bank].available
 
     def mapped_clusters(self, logical: int) -> List[int]:
-        """Where *logical* currently has valid mappings (shared cache —
+        """Where *logical* currently has valid mappings (shared list —
         read-only)."""
         return self.map_table.mapped_clusters(logical)
 
     def mapped_set(self, logical: int):
-        """Cached frozenset view of :meth:`mapped_clusters`."""
+        """Frozenset view of :meth:`mapped_clusters`."""
         return self.map_table.mapped_set(logical)
 
     def mapping(self, logical: int, cluster: int) -> Optional[int]:
@@ -116,30 +111,33 @@ class RenameUnit:
         return preg
 
     def define_dest(self, logical: int, cluster: int
-                    ) -> Tuple[int, List[Tuple[int, int]]]:
+                    ) -> Tuple[int, List[Optional[int]]]:
         """Allocate a destination register and install its mapping.
 
-        Returns ``(preg, previous_mappings)``; the previous mappings
-        must be freed when this instruction commits.
+        Returns ``(preg, previous_row)``: the replaced map-table row,
+        whose physical registers must be freed (:meth:`release`) when
+        this instruction commits.
         """
         preg = self._alloc(logical, cluster)
         if preg is None:
             raise RuntimeError(
                 f"define_dest on empty free list of cluster {cluster}; "
                 f"the decode stage must pre-check free_count()")
-        previous = self.map_table.define(logical, cluster, preg)
-        return preg, previous
+        return preg, self.map_table.define(logical, cluster, preg)
 
     # -- commit-time release -------------------------------------------------------
 
-    def release(self, mappings: List[Tuple[int, int]]) -> None:
-        """Free a previous mapping set at the writer's commit."""
-        for cluster, preg in mappings:
-            self._release_one(cluster, preg)
+    def release(self, row: List[Optional[int]]) -> None:
+        """Free a replaced row's registers at the writer's commit."""
+        ppb = self.pregs_per_bank
+        for cluster, preg in enumerate(row):
+            if preg is not None:
+                self.free_lists[cluster][preg >= ppb].free(preg)
 
     # -- audits (tests) -------------------------------------------------------------
 
     def allocated_counts(self) -> Dict[Tuple[int, int], int]:
         """Allocated register counts per (cluster, bank) for invariants."""
-        return {(c, bank): self.pregs_per_bank - self._free[c][bank].available
+        return {(c, bank):
+                self.pregs_per_bank - self.free_lists[c][bank].available
                 for c in range(self.n_clusters) for bank in (0, 1)}

@@ -10,7 +10,7 @@ exists for it.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import FrozenSet, NamedTuple, Optional, Sequence
 
 from .metrics import DCountTracker
 
@@ -27,8 +27,12 @@ def _all_clusters(n: int) -> FrozenSet[int]:
     return cached
 
 
-class SourceView:
+class SourceView(NamedTuple):
     """Decode-time facts about one source operand.
+
+    The timing core passes plain tuples with these fields in this order
+    (building a named tuple per operand costs more than the steering
+    decision itself); steerers unpack them positionally.
 
     Attributes:
         logical: logical register id.
@@ -43,22 +47,12 @@ class SourceView:
         predicted: a confident value prediction exists for this operand.
     """
 
-    __slots__ = ("logical", "is_fp", "available", "mapped",
-                 "soonest_cluster", "predicted")
-
-    def __init__(self, logical: int, is_fp: bool, available: bool,
-                 mapped: FrozenSet[int], soonest_cluster: Optional[int],
-                 predicted: bool) -> None:
-        self.logical = logical
-        self.is_fp = is_fp
-        self.available = available
-        self.mapped = mapped
-        self.soonest_cluster = soonest_cluster
-        self.predicted = predicted
-
-    def __repr__(self) -> str:
-        return (f"<Src r{self.logical} avail={self.available} "
-                f"mapped={sorted(self.mapped)} pred={self.predicted}>")
+    logical: int
+    is_fp: bool
+    available: bool
+    mapped: FrozenSet[int]
+    soonest_cluster: Optional[int]
+    predicted: bool
 
 
 class Steerer:
@@ -75,6 +69,10 @@ class Steerer:
     #: reflects the decision that took effect.  Purely observational:
     #: no steering logic may read it.
     last_reason = "unknown"
+
+    #: False when :meth:`choose` ignores its *sources*: the core then
+    #: passes an empty sequence instead of building per-operand views.
+    reads_sources = True
 
     def __init__(self, n_clusters: int) -> None:
         self.n_clusters = n_clusters

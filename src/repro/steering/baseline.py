@@ -29,7 +29,8 @@ Thresholds come from the paper: Baseline rule 1 uses DCOUNT=32 / 16 for
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .base import SourceView, Steerer
 from .metrics import DCountTracker
@@ -46,6 +47,28 @@ def default_balance_threshold(n_clusters: int) -> int:
 def default_vpb_threshold(n_clusters: int) -> int:
     """Paper's VPB mod-2 gate: 16 for 4 clusters, 8 for 2."""
     return 4 * n_clusters
+
+
+def _less_loaded(raw: List[int], a: int, b: int) -> int:
+    """The less loaded of clusters *a* and *b* (ties to the lower id)."""
+    if raw[b] < raw[a] or (raw[b] == raw[a] and b < a):
+        return b
+    return a
+
+
+def _least_loaded_of(raw: List[int], clusters: AbstractSet[int],
+                     within: Optional[AbstractSet[int]] = None
+                     ) -> Optional[int]:
+    """Least-loaded member of *clusters* (also in *within*, when given),
+    ties to the lowest id; ``None`` when no member qualifies."""
+    best = None
+    for c in clusters:
+        if within is not None and c not in within:
+            continue
+        if best is None or raw[c] < raw[best] or (
+                raw[c] == raw[best] and c < best):
+            best = c
+    return best
 
 
 class RMBSSteerer(Steerer):
@@ -73,94 +96,96 @@ class RMBSSteerer(Steerer):
         self.balance_threshold = balance_threshold
         self.use_mod1 = use_mod1
         self.mod2_threshold = mod2_threshold
+        self._mod2_gate = (math.inf if mod2_threshold is None
+                           else mod2_threshold)
+        # One cluster has one answer: the sources are never read.
+        self.reads_sources = n_clusters > 1
 
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc: Optional[int] = None) -> int:
+        """Rules 1-3 (module docstring).
+
+        Rule 2's reasons: "pending" (rule 2.1), "mapped" (rule 2.2),
+        "unconstrained" (operands with no useful mapping), "mod2-all"
+        (§3.2/§3.3's relaxation released every operand), "no-sources"
+        (rule 2.3).
+
+        This runs once per decode attempt, so the common case — at most
+        two source operands, every ISA op here — allocates nothing: two
+        pending votes agree or tie; two mapped sets vote for their
+        intersection when it is non-empty and their union otherwise;
+        and rule 3's least-loaded pick (ties to the lowest id) is taken
+        straight over those votes instead of a candidate list.
+        """
         if self.n_clusters == 1:
             self.last_reason = "single"
             return 0
-        imbalance = dcount.imbalance()
+        raw = dcount.raw
+        offset = dcount.offset
+        high = max(raw) - offset
+        low = offset - min(raw)
+        imbalance = high if high > low else low
         # Rule 1: correct a gross imbalance unconditionally.
         if imbalance > self.balance_threshold:
             self.last_reason = "balance"
-            return dcount.least_loaded()
-        mod2 = (self.mod2_threshold is not None
-                and imbalance > self.mod2_threshold)
-        candidates, self.last_reason = \
-            self._communication_candidates(sources, mod2)
-        # Rule 3: least loaded among the candidates.
-        return dcount.least_loaded_among(candidates)
-
-    # -- rule 2 -----------------------------------------------------------------
-
-    def _communication_candidates(self, sources: Sequence[SourceView],
-                                  mod2: bool) -> Tuple[List[int], str]:
-        """Rule-2 candidate set plus the decision class that produced it.
-
-        Reasons: "pending" (rule 2.1), "mapped" (rule 2.2),
-        "unconstrained" (operands with no useful mapping),
-        "mod2-all" (§3.2/§3.3's relaxation released every operand),
-        "no-sources" (rule 2.3).
-
-        With at most two source operands (every ISA op here) the vote
-        tallies collapse to closed forms — two pending votes agree or
-        tie, two mapped sets vote for their intersection when it is
-        non-empty and their union otherwise — so the decode hot path
-        runs allocation-light set arithmetic instead of vote dicts.
-        The candidate *order* may differ from the dict tally, which is
-        immaterial: rule 3's least-loaded pick is order-invariant.
-        """
+            return min(range(self.n_clusters), key=raw.__getitem__)
+        mod2 = imbalance > self._mod2_gate
         if len(sources) > 2:
-            return self._communication_candidates_general(sources, mod2)
-        pend_a = pend_b = None
-        map_a = map_b = None
+            candidates, self.last_reason = \
+                self._communication_candidates_general(sources, mod2)
+            return dcount.least_loaded_among(candidates)
+        pend_a = pend_b = map_a = map_b = None
         relevant = 0
         mod2_applies = False
         use_mod1 = self.use_mod1
-        for src in sources:
-            predicted = src.predicted
+        for _, _, available, mapped, soonest, predicted in sources:
             if mod2 and predicted:
                 # Mod 2: this operand constrains nothing.
                 mod2_applies = True
                 continue
             relevant += 1
-            if src.available or (use_mod1 and predicted):
-                mapped = src.mapped
+            if available or (use_mod1 and predicted):
                 if mapped:
                     if map_a is None:
                         map_a = mapped
                     else:
                         map_b = mapped
-            else:
+            elif soonest is not None:
                 # Rule 2.1: vote for the cluster producing it soonest.
-                soonest = src.soonest_cluster
-                if soonest is not None:
-                    if pend_a is None:
-                        pend_a = soonest
-                    else:
-                        pend_b = soonest
+                if pend_a is None:
+                    pend_a = soonest
+                else:
+                    pend_b = soonest
         if pend_a is not None:
+            self.last_reason = "pending"
             if pend_b is None or pend_b == pend_a:
-                return [pend_a], "pending"
-            return [pend_a, pend_b], "pending"
+                return pend_a
+            return _less_loaded(raw, pend_a, pend_b)
         if map_a is not None:
-            if map_b is None:
-                return list(map_a), "mapped"
-            inter = map_a & map_b
-            return list(inter if inter else map_a | map_b), "mapped"
+            self.last_reason = "mapped"
+            if map_b is None or map_b is map_a:
+                return _least_loaded_of(raw, map_a)
+            best = _least_loaded_of(raw, map_a, map_b)
+            if best is None:  # disjoint: the union votes
+                best = _less_loaded(raw, _least_loaded_of(raw, map_a),
+                                    _least_loaded_of(raw, map_b))
+            return best
         if relevant and not mod2_applies:
             # Operands exist but none is mapped anywhere useful (only
             # possible for always-available zero-register operands,
             # which carry no mapping): no constraint.
-            return list(self.all_clusters()), "unconstrained"
-        # Rule 2.3 (no sources), or every operand released by mod 2.
-        return list(self.all_clusters()), (
-            "mod2-all" if mod2_applies else "no-sources")
+            self.last_reason = "unconstrained"
+        else:
+            # Rule 2.3 (no sources), or every operand released by mod 2.
+            self.last_reason = "mod2-all" if mod2_applies else "no-sources"
+        return min(range(self.n_clusters), key=raw.__getitem__)
+
+    # -- rule 2 -----------------------------------------------------------------
 
     def _communication_candidates_general(
             self, sources: Sequence[SourceView],
             mod2: bool) -> Tuple[List[int], str]:
-        """Dict-tally fallback for hypothetical >2-operand sources."""
+        """Rule-2 candidate set plus its reason, for >2-operand sources."""
         # Plain dicts, not Counters: vote keys arrive in first-vote
         # order either way (Counter is a dict subclass), and Counter's
         # __init__ is pure overhead per call.
@@ -168,19 +193,17 @@ class RMBSSteerer(Steerer):
         mapped_votes: Dict[int, int] = {}
         relevant = 0
         mod2_applies = False
-        for src in sources:
-            predicted = src.predicted
-            available = src.available or (self.use_mod1 and predicted)
+        for _, _, available, mapped, soonest, predicted in sources:
+            available = available or (self.use_mod1 and predicted)
             if mod2 and predicted:
                 mod2_applies = True
                 continue
             relevant += 1
             if not available:
-                soonest = src.soonest_cluster
                 if soonest is not None:
                     pending_votes[soonest] = pending_votes.get(soonest, 0) + 1
             else:
-                for cluster in src.mapped:
+                for cluster in mapped:
                     mapped_votes[cluster] = mapped_votes.get(cluster, 0) + 1
         if pending_votes:
             return self._argmax(pending_votes), "pending"

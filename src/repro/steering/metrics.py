@@ -21,59 +21,53 @@ __all__ = ["DCountTracker", "NReadyMeter"]
 class DCountTracker:
     """The paper's DCOUNT workload counters.
 
-    Stored in offset form: ``_raw[c]`` is the true counter plus a
-    shared ``_offset`` that grows by one per dispatch.  That turns the
+    Stored in offset form: ``raw[c]`` is the true counter plus a
+    shared ``offset`` that grows by one per dispatch.  That turns the
     "every other counter falls by 1" part of a dispatch into a single
     offset bump — O(1) instead of O(N) on the dispatch hot path —
     while comparisons between counters (least-loaded picks) are
     offset-invariant.  ``counters`` materializes the true values.
+    Steerers read ``raw`` and ``offset`` directly on their hot path.
     """
 
     def __init__(self, n_clusters: int) -> None:
         if n_clusters < 1:
             raise ValueError("need at least one cluster")
         self.n_clusters = n_clusters
-        self._raw: List[int] = [0] * n_clusters
-        self._offset = 0
+        self.raw: List[int] = [0] * n_clusters
+        self.offset = 0
 
     @property
     def counters(self) -> List[int]:
         """The true DCOUNT values (their sum is always zero)."""
-        offset = self._offset
-        return [c - offset for c in self._raw]
+        offset = self.offset
+        return [c - offset for c in self.raw]
 
     def dispatch(self, cluster: int) -> None:
         """Account one instruction dispatched to *cluster*."""
-        self._offset += 1
-        self._raw[cluster] += self.n_clusters
+        self.offset += 1
+        self.raw[cluster] += self.n_clusters
 
     def imbalance(self) -> int:
-        """Maximum absolute counter value (the steering imbalance figure)."""
-        offset = self._offset
-        best = 0
-        for c in self._raw:
-            c -= offset
-            if c < 0:
-                c = -c
-            if c > best:
-                best = c
-        return best
+        """Maximum absolute counter value (the steering imbalance figure).
+
+        The true counters sum to zero, so the largest is >= 0 >= the
+        smallest and the answer is the larger of their magnitudes.
+        """
+        high = max(self.raw) - self.offset
+        low = self.offset - min(self.raw)
+        return high if high > low else low
 
     def least_loaded(self) -> int:
         """Cluster with the minimum counter (ties break to the lowest id)."""
-        counters = self._raw
-        best = 0
-        for c in range(1, self.n_clusters):
-            if counters[c] < counters[best]:
-                best = c
-        return best
+        raw = self.raw
+        return min(range(self.n_clusters), key=raw.__getitem__)
 
     def least_loaded_among(self, candidates: Sequence[int]) -> int:
-        """Least-loaded cluster restricted to *candidates*."""
-        if len(candidates) == 1:
-            return candidates[0]
-        counters = self._raw
-        return min(candidates, key=lambda c: (counters[c], c))
+        """Least-loaded cluster restricted to *candidates* (ties break
+        to the lowest id)."""
+        raw = self.raw
+        return min(candidates, key=lambda c: (raw[c], c))
 
 
 class NReadyMeter:

@@ -27,6 +27,7 @@ class RoundRobinSteerer(Steerer):
 
     name = "round-robin"
     last_reason = "round-robin"
+    reads_sources = False
 
     def __init__(self, n_clusters: int) -> None:
         super().__init__(n_clusters)
@@ -45,6 +46,7 @@ class BalanceOnlySteerer(Steerer):
 
     name = "balance-only"
     last_reason = "balance"
+    reads_sources = False
 
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc=None) -> int:
@@ -64,15 +66,16 @@ class DependenceOnlySteerer(Steerer):
 
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc=None) -> int:
-        pending: Counter = Counter()
-        mapped: Counter = Counter()
-        for src in sources:
-            if not src.available and src.soonest_cluster is not None:
-                pending[src.soonest_cluster] += 1
+        pending_votes: Counter = Counter()
+        mapped_votes: Counter = Counter()
+        for _, _, available, mapped, soonest, _ in sources:
+            if not available and soonest is not None:
+                pending_votes[soonest] += 1
             else:
-                for cluster in src.mapped:
-                    mapped[cluster] += 1
-        for votes, reason in ((pending, "pending"), (mapped, "mapped")):
+                for cluster in mapped:
+                    mapped_votes[cluster] += 1
+        for votes, reason in ((pending_votes, "pending"),
+                              (mapped_votes, "mapped")):
             if votes:
                 best = max(votes.values())
                 self.last_reason = reason

@@ -83,6 +83,7 @@ class StaticSteerer(Steerer):
     """
 
     name = "static"
+    reads_sources = False
 
     def __init__(self, n_clusters: int,
                  assignment: Optional[Dict[int, int]] = None) -> None:

@@ -153,3 +153,33 @@ class TestVerificationGating:
         trace = execute(unpredictable_program(1500), 12_000)
         result = simulate(list(trace), make_config(1, predictor="stride"))
         assert 0.0 <= result.stats.value_misprediction_rate <= 1.0
+
+
+def test_predictor_advances_once_per_instruction_across_stalls():
+    """Predictions ride on the fetched instruction: decode stalls (a
+    tiny issue queue forces many) never consult the predictor again, so
+    it sees exactly one lookup per eligible source slot — every
+    non-zero, integer source of every dispatched instruction."""
+    from repro.core.processor import Processor
+    from repro.isa.registers import ZERO_REG
+    from repro.workloads import workload_trace
+
+    trace = list(workload_trace("cjpeg", 1500))
+    config = make_config(2, predictor="stride", steering="vpb", iq_size=2)
+    processor = Processor(config, iter(trace))
+    calls = []
+    predict_update = processor.vp.predict_update
+
+    def counting(pc, slot, actual):
+        calls.append((pc, slot))
+        return predict_update(pc, slot, actual)
+
+    processor.vp.predict_update = counting
+    result = processor.run()
+    stats = result.stats
+    assert stats.decode_stalls.get("iq", 0) > 100
+    assert stats.dispatched_insts == len(trace)
+    eligible = [(dyn.pc, slot) for dyn in trace
+                for slot, logical in enumerate(dyn.srcs)
+                if logical != ZERO_REG and not dyn.srcs_fp[slot]]
+    assert calls == eligible

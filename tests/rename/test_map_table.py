@@ -15,8 +15,9 @@ def test_initially_unmapped():
 def test_define_validates_one_field():
     table = MapTable(4, 4)
     previous = table.define(1, 2, 17)
-    assert previous == []
+    assert previous == [None, None, None, None]   # the replaced row
     assert table.mapped_clusters(1) == [2]
+    assert table.mapped_set(1) == frozenset({2})
     assert table.get(1, 2) == 17
 
 
@@ -24,8 +25,9 @@ def test_replica_adds_field():
     table = MapTable(4, 4)
     table.define(1, 0, 5)
     table.add_replica(1, 3, 9)
-    assert sorted(table.mapped_clusters(1)) == [0, 3]
-    assert table.mappings(1) == [(0, 5), (3, 9)]
+    assert table.mapped_clusters(1) == [0, 3]
+    assert table.mapped_set(1) == frozenset({0, 3})
+    assert [table.get(1, c) for c in range(4)] == [5, None, None, 9]
 
 
 def test_replica_conflict_raises():
@@ -42,8 +44,19 @@ def test_redefine_returns_full_previous_set_figure1c():
     table.add_replica(2, 1, 11)
     table.add_replica(2, 3, 12)
     previous = table.define(2, 2, 20)
-    assert sorted(previous) == [(0, 10), (1, 11), (3, 12)]
+    assert previous == [10, 11, None, 12]
     assert table.mapped_clusters(2) == [2]
+
+
+def test_define_shares_one_cluster_views():
+    table = MapTable(4, 2)
+    table.define(0, 1, 3)
+    table.define(2, 1, 5)
+    assert table.mapped_clusters(0) is table.mapped_clusters(2)
+    assert table.mapped_set(0) is table.mapped_set(2)
+    table.add_replica(2, 0, 6)   # a replica builds fresh views
+    assert table.mapped_clusters(0) == [1]
+    assert table.mapped_clusters(2) == [0, 1]
 
 
 def test_logical_registers_independent():

@@ -43,7 +43,7 @@ def test_define_dest_returns_previous_for_commit_free():
     unit = RenameUnit(NUM_LOGICAL_REGS, 2, 40)
     original = unit.mapping(3, 1)
     preg, previous = unit.define_dest(3, 0)
-    assert previous == [(1, original)]
+    assert previous == [None, original]
     assert unit.mapping(3, 0) == preg
     assert unit.mapping(3, 1) is None
 
@@ -53,8 +53,9 @@ def test_replica_then_redefine_then_release_roundtrip():
     before = unit.free_count(0, INT_BANK) + unit.free_count(1, INT_BANK)
     replica = unit.alloc_replica(2, 1)
     assert unit.mapping(2, 1) == replica
+    original = unit.mapping(2, 0)
     _, previous = unit.define_dest(2, 0)
-    assert len(previous) == 2
+    assert previous == [original, replica]
     unit.release(previous)
     after = unit.free_count(0, INT_BANK) + unit.free_count(1, INT_BANK)
     # The replica and the original were freed, the new dest was
