@@ -226,8 +226,7 @@ class Processor:
         self._scan_sources = (config.n_clusters > 1
                               or self.steerer.reads_sources)
         self.cycle = 0
-        self.watchdog = PipelineWatchdog(config.deadlock_cycles,
-                                         self.pipeline_snapshot)
+        self.watchdog = PipelineWatchdog(config.deadlock_cycles)
 
     # ------------------------------------------------------------------ run --
 
@@ -261,6 +260,7 @@ class Processor:
         process_events, drain = self._process_events, self._drain_store_data
         commit, note_commit, check = (self._commit, watchdog.note_commit,
                                       watchdog.check)
+        snapshot = self.pipeline_snapshot
         issue, decode, tick = self._issue, self._decode, fetch.tick
         profiler = self.profiler
         if profiler is not None:
@@ -287,7 +287,7 @@ class Processor:
             if commit(cycle):
                 note_commit(cycle)
             else:
-                check(cycle)
+                check(cycle, snapshot)
             issue(cycle)
             decode(cycle)
             tick(cycle)
@@ -680,7 +680,8 @@ class Processor:
         cycle1 = cycle + 1
         for cluster in self.clusters:
             cid = cluster.cluster_id
-            occupancy[cid] += cluster.occupancy
+            occupancy[cid] += (len(cluster.iq_int._entries)
+                               + len(cluster.iq_fp._entries))
             regfile = cluster.regfile
             ready = regfile.ready
             waiters = regfile.waiters
@@ -923,19 +924,33 @@ class Processor:
             # regardless of idle capacities, so skip computing them.
             self.nready.record_idle()
             return
-        if leftover_int is None:
-            leftover_int = [0] * config.n_clusters
-        if leftover_fp is None:
-            leftover_fp = [0] * config.n_clusters
-        idle_int = []
-        idle_fp = []
-        for c in self.clusters:
-            fupool = c.fupool
+        zeros = [0] * config.n_clusters
+        self.nready.record(
+            leftover_int or zeros,
+            self._idle_capacities(leftover_int, True, cycle) or zeros,
+            leftover_fp or zeros,
+            self._idle_capacities(leftover_fp, False, cycle) or zeros)
+
+    def _idle_capacities(self, leftover: Optional[List[int]], int_side: bool,
+                         cycle: int) -> Optional[List[int]]:
+        """Per-cluster idle issue capacity of one side, for NREADY.
+
+        NREADY only counts idle capacity in clusters where nothing was
+        left stuck on that side, so only those are computed (the rest
+        read 0); ``None`` when nothing was stuck on the side at all.
+        """
+        if leftover is None:
+            return None
+        idle = []
+        for cluster, stuck in zip(self.clusters, leftover):
+            if stuck:
+                idle.append(0)
+                continue
+            fupool = cluster.fupool
             if fupool._cycle != cycle:
                 fupool.begin_cycle(cycle)
-            idle_int.append(fupool.idle_capacity(True))
-            idle_fp.append(fupool.idle_capacity(False))
-        self.nready.record(leftover_int, idle_int, leftover_fp, idle_fp)
+            idle.append(fupool.idle_capacity(int_side))
+        return idle
 
     def _mark_issued(self, uop: Uop, cycle: int) -> None:
         uop.state = STATE_ISSUED
@@ -1070,21 +1085,19 @@ class Processor:
                 else _NO_PREDICTIONS)
         map_rows = self._map_rows
         ready_arrays = self._ready_arrays
-        soonest = None
+        views = None
         if self._scan_sources:
-            # Steering views as plain tuples (SourceView's fields), and
-            # per slot the mapped cluster producing the value soonest —
-            # the source of any copy or verification-copy.  A single-
-            # mapped operand (the common case) needs no tournament.
+            # Steering views as plain tuples (SourceView's fields).  A
+            # view's soonest cluster is also the source of any copy or
+            # verification-copy of that slot.  A single-mapped operand
+            # (the common case) needs no tournament.
             mapped_lists = self._mapped_lists
             mapped_sets = self._mapped_sets
             srcs_fp = dyn.srcs_fp
             views = []
-            soonest = []
             for slot, logical in enumerate(srcs):
                 if logical == ZERO_REG:
                     views.append(_ZERO_VIEW)
-                    soonest.append(None)
                     continue
                 mapped = mapped_lists[logical]
                 row = map_rows[logical]
@@ -1111,7 +1124,6 @@ class Processor:
                 views.append((logical, srcs_fp[slot], best_ready <= cycle,
                               mapped_sets[logical], best,
                               predictions[slot] is not None))
-                soonest.append(best)
             cluster_id = self.steerer.choose(views, self.dcount, dyn.pc)
         else:
             cluster_id = self.steerer.choose((), self.dcount, dyn.pc)
@@ -1166,7 +1178,7 @@ class Processor:
         clusters = self.clusters
         if helpers:
             stall = self._check_resources(dyn, cluster_id, helpers, pending,
-                                          soonest, copies)
+                                          views, copies)
         elif renames and not free_lists[cluster_id][dyn.dest_fp].available:
             stall = "pregs"
         else:
@@ -1202,7 +1214,7 @@ class Processor:
                         self._register_verification(cluster_id, operand.preg,
                                                     uop, operand, cycle)
                         continue
-                    helper = self._make_vcopy(srcs[slot], soonest[slot], uop,
+                    helper = self._make_vcopy(srcs[slot], views[slot][4], uop,
                                               operand, min_issue)
                 else:
                     logical = srcs[slot]
@@ -1210,7 +1222,7 @@ class Processor:
                     if first is not operand:
                         operand.preg = first.preg   # share the replica
                         continue
-                    helper = self._make_copy(logical, soonest[slot],
+                    helper = self._make_copy(logical, views[slot][4],
                                              cluster_id, uop, operand,
                                              min_issue)
                 if helper_uops is None:
@@ -1270,13 +1282,12 @@ class Processor:
         if dyn.is_store:
             self._pending_store_addrs.add(dyn.seq)
         self.dcount.dispatch(cluster_id)
-        self.steerer.notify_dispatch(cluster_id)
         stats.dispatched_insts += 1
         stats.dispatch_per_cluster[cluster_id] += 1
         return True
 
     def _check_resources(self, dyn: DynInst, cluster_id: int, helpers: int,
-                         pending: List[Operand], soonest: List[int],
+                         pending: List[Operand], views: List[tuple],
                          copies: Optional[Dict[int, Operand]]
                          ) -> Optional[str]:
         """Stall reason of an instruction needing copies or vcopies.
@@ -1284,35 +1295,38 @@ class Processor:
         Needs: a ROB entry per helper plus one; free registers in the
         consumer cluster for the destination and each copy's replica;
         issue-queue space for the instruction in its cluster and side,
-        and for each helper in its source cluster on the value's side.
+        and for each helper in its source cluster (the operand view's
+        soonest cluster) on the value's side.
         """
         if len(self.rob) + 1 + helpers > self._rob_size:
             return "rob"
         srcs = dyn.srcs
+        clusters = self.clusters
         pregs_needed = [0, 0]
         if dyn.dest is not None and dyn.dest != ZERO_REG:
             pregs_needed[dyn.dest_fp] += 1
-        iq_needed: Dict[Tuple[int, bool], int] = {(cluster_id, dyn.is_int): 1}
+        own = clusters[cluster_id]
+        queues = [own.iq_int if dyn.is_int else own.iq_fp]
         for operand in pending:
             if operand.preg is not None:
                 continue                      # speculative local read
             slot = operand.slot
+            source = clusters[views[slot][4]]
             if operand.mode == MODE_PRED:
-                key = (soonest[slot], True)   # verification-copy
-            else:
-                logical = srcs[slot]
-                if copies[logical] is not operand:
-                    continue                  # shares an earlier copy
-                fp = is_fp_reg(logical)
-                pregs_needed[fp] += 1
-                key = (soonest[slot], not fp)
-            iq_needed[key] = iq_needed.get(key, 0) + 1
+                queues.append(source.iq_int)  # verification-copy
+                continue
+            logical = srcs[slot]
+            if copies[logical] is not operand:
+                continue                      # shares an earlier copy
+            fp = is_fp_reg(logical)
+            pregs_needed[fp] += 1
+            queues.append(source.iq_fp if fp else source.iq_int)
         free = self._free_lists[cluster_id]
         for bank in (0, 1):
             if free[bank].available < pregs_needed[bank]:
                 return "pregs"
-        for (cid, int_side), count in iq_needed.items():
-            if self.clusters[cid].iq_for(int_side).space_left() < count:
+        for queue in queues:
+            if len(queue._entries) + queues.count(queue) > queue.capacity:
                 return "iq"
         return None
 

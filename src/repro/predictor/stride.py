@@ -32,6 +32,8 @@ __all__ = ["StridePredictor"]
 
 _WRAP = 1 << 64
 _INT_MIN = -(1 << 63)
+#: Builds a Prediction without the named tuple's Python-level __new__.
+_tuple_new = tuple.__new__
 
 
 def _wrap64(value: int) -> int:
@@ -128,7 +130,7 @@ class StridePredictor(ValuePredictor):
                 self._counter[index] = counter - 1
         self._prev_stride[index] = new_stride
         self._last[index] = actual
-        return Prediction(predicted, confident)
+        return _tuple_new(Prediction, (predicted, confident))
 
     def trainer(self, pc: int, slot: int):
         """A pre-bound ``train(actual)`` closure for one static operand.

@@ -86,14 +86,11 @@ class Steerer:
 
         ``choose`` may be called several times for the same instruction
         (the decode stage retries after structural stalls), so it must
-        be side-effect free; dispatch-dependent state belongs in
-        :meth:`notify_dispatch`.  The core updates DCOUNT after the
-        decision; implementations must not mutate it.
+        be side-effect free; dispatch-dependent state is derived from
+        DCOUNT, which the core updates once per dispatch, after the
+        decision.  Implementations must not mutate it.
         """
         raise NotImplementedError
-
-    def notify_dispatch(self, cluster: int) -> None:
-        """Called once when an instruction actually dispatches."""
 
     def all_clusters(self) -> FrozenSet[int]:
         """The full candidate set."""

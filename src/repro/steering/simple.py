@@ -21,24 +21,18 @@ __all__ = ["RoundRobinSteerer", "BalanceOnlySteerer", "DependenceOnlySteerer"]
 class RoundRobinSteerer(Steerer):
     """Dispatch to clusters cyclically; perfect count balance, blind to data.
 
-    The cursor advances on *dispatch*, not on ``choose``, so decode-stage
-    retries after structural stalls do not perturb the rotation.
+    The cursor is DCOUNT's dispatch count, so it advances on *dispatch*,
+    not on ``choose``: decode-stage retries after structural stalls do
+    not perturb the rotation.
     """
 
     name = "round-robin"
     last_reason = "round-robin"
     reads_sources = False
 
-    def __init__(self, n_clusters: int) -> None:
-        super().__init__(n_clusters)
-        self._next = 0
-
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc=None) -> int:
-        return self._next
-
-    def notify_dispatch(self, cluster: int) -> None:
-        self._next = (self._next + 1) % self.n_clusters
+        return dcount.offset % self.n_clusters
 
 
 class BalanceOnlySteerer(Steerer):
