@@ -57,8 +57,7 @@ def serve() -> int:
         cell = json.loads(line)
         config = make_config(cell["clusters"], predictor=cell["predictor"],
                              steering=cell["steering"])
-        trace = list(workload_trace(cell["workload"], cell["length"],
-                                    seed=cell["seed"]))
+        trace = list(workload_trace(cell["workload"], cell["length"]))
         start = time.perf_counter()
         result = simulate(trace, config, profile=cell["profile"])
         seconds = time.perf_counter() - start
@@ -147,17 +146,15 @@ def report(rows, profiled_rows) -> str:
         label = ("total" if config is None
                  else "{}c {}/{}".format(*config))
         lines.append(f"| {label} | {b:.2f} | {h:.2f} | {_ratio(b, h)} |")
-    if profiled_rows:
-        lines += ["", "| phase (profile=True) | base s | head s "
-                  "| base/head |", "|---|---|---|---|"]
-        for phase in PHASES:
-            b = sum(x["phases"][phase] for _, x, _ in profiled_rows)
-            h = sum(y["phases"][phase] for _, _, y in profiled_rows)
-            lines.append(f"| {phase} | {b:.2f} | {h:.2f} | "
-                         f"{_ratio(b, h)} |")
-        b = sum(x["seconds"] for _, x, _ in profiled_rows)
-        h = sum(y["seconds"] for _, _, y in profiled_rows)
-        lines.append(f"| total | {b:.2f} | {h:.2f} | {_ratio(b, h)} |")
+    lines += ["", "| phase (profile=True) | base s | head s | base/head |",
+              "|---|---|---|---|"]
+    for phase in PHASES:
+        b = sum(x["phases"][phase] for _, x, _ in profiled_rows)
+        h = sum(y["phases"][phase] for _, _, y in profiled_rows)
+        lines.append(f"| {phase} | {b:.2f} | {h:.2f} | {_ratio(b, h)} |")
+    b = sum(x["seconds"] for _, x, _ in profiled_rows)
+    h = sum(y["seconds"] for _, _, y in profiled_rows)
+    lines.append(f"| total | {b:.2f} | {h:.2f} | {_ratio(b, h)} |")
     return "\n".join(lines)
 
 
@@ -174,11 +171,8 @@ def main(argv=None) -> int:
     parser.add_argument("--configs", type=int, default=None,
                         help="use only the first N headline configs")
     parser.add_argument("--length", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=1,
                         help="passes over the cells")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the profile=True phase-time pass")
     args = parser.parse_args(argv)
     if args.serve:
         return serve()
@@ -191,8 +185,7 @@ def main(argv=None) -> int:
              else workload_names())
     configs = HEADLINE_CONFIGS[:args.configs]
     cells = [{"workload": name, "clusters": c, "predictor": p,
-              "steering": s, "length": args.length, "seed": args.seed,
-              "profile": False}
+              "steering": s, "length": args.length, "profile": False}
              for name in names for c, p, s in configs]
 
     with contextlib.ExitStack() as stack:
@@ -202,12 +195,10 @@ def main(argv=None) -> int:
         stack.callback(base.close)
         stack.callback(head.close)
         rows, bad = compare(base, head, cells, args.rounds)
-        profiled = []
-        if not args.no_profile:
-            profiled, bad_p = compare(
-                base, head, [dict(cell, profile=True) for cell in cells],
-                args.rounds)
-            bad += bad_p
+        profiled, bad_profiled = compare(
+            base, head, [dict(cell, profile=True) for cell in cells],
+            args.rounds)
+        bad += bad_profiled
     print(f"{len(cells)} cells x {args.rounds} round(s), base "
           f"{args.base or args.base_dir}")
     print(report(rows, profiled))

@@ -30,7 +30,7 @@ Thresholds come from the paper: Baseline rule 1 uses DCOUNT=32 / 16 for
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import SourceView, Steerer
 from .metrics import DCountTracker
@@ -47,28 +47,6 @@ def default_balance_threshold(n_clusters: int) -> int:
 def default_vpb_threshold(n_clusters: int) -> int:
     """Paper's VPB mod-2 gate: 16 for 4 clusters, 8 for 2."""
     return 4 * n_clusters
-
-
-def _less_loaded(raw: List[int], a: int, b: int) -> int:
-    """The less loaded of clusters *a* and *b* (ties to the lower id)."""
-    if raw[b] < raw[a] or (raw[b] == raw[a] and b < a):
-        return b
-    return a
-
-
-def _least_loaded_of(raw: List[int], clusters: AbstractSet[int],
-                     within: Optional[AbstractSet[int]] = None
-                     ) -> Optional[int]:
-    """Least-loaded member of *clusters* (also in *within*, when given),
-    ties to the lowest id; ``None`` when no member qualifies."""
-    best = None
-    for c in clusters:
-        if within is not None and c not in within:
-            continue
-        if best is None or raw[c] < raw[best] or (
-                raw[c] == raw[best] and c < best):
-            best = c
-    return best
 
 
 class RMBSSteerer(Steerer):
@@ -120,15 +98,11 @@ class RMBSSteerer(Steerer):
         if self.n_clusters == 1:
             self.last_reason = "single"
             return 0
-        raw = dcount.raw
-        offset = dcount.offset
-        high = max(raw) - offset
-        low = offset - min(raw)
-        imbalance = high if high > low else low
+        imbalance = dcount.imbalance()
         # Rule 1: correct a gross imbalance unconditionally.
         if imbalance > self.balance_threshold:
             self.last_reason = "balance"
-            return min(range(self.n_clusters), key=raw.__getitem__)
+            return dcount.least_loaded()
         mod2 = imbalance > self._mod2_gate
         if len(sources) > 2:
             candidates, self.last_reason = \
@@ -160,15 +134,14 @@ class RMBSSteerer(Steerer):
             self.last_reason = "pending"
             if pend_b is None or pend_b == pend_a:
                 return pend_a
-            return _less_loaded(raw, pend_a, pend_b)
+            return dcount.least_loaded_among((pend_a, pend_b))
         if map_a is not None:
             self.last_reason = "mapped"
             if map_b is None or map_b is map_a:
-                return _least_loaded_of(raw, map_a)
-            best = _least_loaded_of(raw, map_a, map_b)
+                return dcount.least_loaded_among(map_a)
+            best = dcount.least_loaded_among(map_a, within=map_b)
             if best is None:  # disjoint: the union votes
-                best = _less_loaded(raw, _least_loaded_of(raw, map_a),
-                                    _least_loaded_of(raw, map_b))
+                best = dcount.least_loaded_among(map_a | map_b)
             return best
         if relevant and not mod2_applies:
             # Operands exist but none is mapped anywhere useful (only
@@ -178,7 +151,7 @@ class RMBSSteerer(Steerer):
         else:
             # Rule 2.3 (no sources), or every operand released by mod 2.
             self.last_reason = "mod2-all" if mod2_applies else "no-sources"
-        return min(range(self.n_clusters), key=raw.__getitem__)
+        return dcount.least_loaded()
 
     # -- rule 2 -----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ we.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Container, Iterable, List, Optional, Sequence
 
 __all__ = ["DCountTracker", "NReadyMeter"]
 
@@ -26,8 +26,8 @@ class DCountTracker:
     "every other counter falls by 1" part of a dispatch into a single
     offset bump — O(1) instead of O(N) on the dispatch hot path —
     while comparisons between counters (least-loaded picks) are
-    offset-invariant.  ``counters`` materializes the true values.
-    Steerers read ``raw`` and ``offset`` directly on their hot path.
+    offset-invariant.  ``counters`` materializes the true values;
+    round-robin steering reads ``offset`` as the dispatch count.
     """
 
     def __init__(self, n_clusters: int) -> None:
@@ -63,11 +63,23 @@ class DCountTracker:
         raw = self.raw
         return min(range(self.n_clusters), key=raw.__getitem__)
 
-    def least_loaded_among(self, candidates: Sequence[int]) -> int:
-        """Least-loaded cluster restricted to *candidates* (ties break
-        to the lowest id)."""
+    def least_loaded_among(self, candidates: Iterable[int],
+                           within: Optional[Container[int]] = None
+                           ) -> Optional[int]:
+        """Least-loaded cluster of *candidates* that is also in *within*
+        (when given), ties to the lowest id; ``None`` if none qualifies.
+
+        A plain loop, so steering's per-decode calls allocate nothing.
+        """
         raw = self.raw
-        return min(candidates, key=lambda c: (raw[c], c))
+        best = None
+        for c in candidates:
+            if within is not None and c not in within:
+                continue
+            if best is None or raw[c] < raw[best] or (
+                    raw[c] == raw[best] and c < best):
+                best = c
+        return best
 
 
 class NReadyMeter:
