@@ -31,8 +31,8 @@ class SourceView(NamedTuple):
     """Decode-time facts about one source operand.
 
     The timing core passes plain tuples with these fields in this order
-    (building a named tuple per operand costs more than the steering
-    decision itself); steerers unpack them positionally.
+    (cheaper to build than a named tuple, once per operand per decode
+    attempt); steerers unpack them positionally.
 
     Attributes:
         logical: logical register id.

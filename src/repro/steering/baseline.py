@@ -29,7 +29,6 @@ Thresholds come from the paper: Baseline rule 1 uses DCOUNT=32 / 16 for
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import SourceView, Steerer
@@ -74,8 +73,6 @@ class RMBSSteerer(Steerer):
         self.balance_threshold = balance_threshold
         self.use_mod1 = use_mod1
         self.mod2_threshold = mod2_threshold
-        self._mod2_gate = (math.inf if mod2_threshold is None
-                           else mod2_threshold)
         # One cluster has one answer: the sources are never read.
         self.reads_sources = n_clusters > 1
 
@@ -89,11 +86,11 @@ class RMBSSteerer(Steerer):
         (rule 2.3).
 
         This runs once per decode attempt, so the common case — at most
-        two source operands, every ISA op here — allocates nothing: two
-        pending votes agree or tie; two mapped sets vote for their
-        intersection when it is non-empty and their union otherwise;
-        and rule 3's least-loaded pick (ties to the lowest id) is taken
-        straight over those votes instead of a candidate list.
+        two source operands, every ISA op here — builds no candidate
+        list: two pending votes agree or tie; two mapped sets vote for
+        their intersection when it is non-empty and their union
+        otherwise; and rule 3's least-loaded pick (ties to the lowest
+        id) is taken straight over those votes.
         """
         if self.n_clusters == 1:
             self.last_reason = "single"
@@ -103,7 +100,8 @@ class RMBSSteerer(Steerer):
         if imbalance > self.balance_threshold:
             self.last_reason = "balance"
             return dcount.least_loaded()
-        mod2 = imbalance > self._mod2_gate
+        mod2 = (self.mod2_threshold is not None
+                and imbalance > self.mod2_threshold)
         if len(sources) > 2:
             candidates, self.last_reason = \
                 self._communication_candidates_general(sources, mod2)
