@@ -1051,12 +1051,11 @@ class Processor:
     def _decode_one(self, fetched: FetchedInst, cycle: int) -> bool:
         """Steer, rename and dispatch one instruction; False on a stall.
 
-        One pass over the source slots builds the steering views (only
-        when the steerer reads them: a one-cluster Baseline-family
-        machine builds none), a second builds the instruction's
-        operands in the chosen cluster; after the resource
-        check, dispatch finishes those same Operands.  Nothing is
-        mutated before the check passes, so a stalled instruction is
+        One pass over the source slots builds the steering views (none
+        on one cluster unless the steerer reads them), a second builds
+        the instruction's operands in the chosen cluster, and after the
+        resource check dispatch finishes those same operands.  Nothing
+        is mutated before the check passes, so a stalled instruction is
         steered afresh next cycle — except its value predictions, made
         once and kept on *fetched* so predictor state advances once per
         instruction.
