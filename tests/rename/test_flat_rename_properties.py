@@ -2,9 +2,9 @@
 
 The map table keeps per-register rows plus always-current mapped-cluster
 views, ``define`` returns the replaced row, and the timing core frees
-that row straight on the free lists at commit.  A reference model with
-the original pair-list semantics (``mappings()``: every valid
-``(cluster, preg)`` of a register) runs alongside random traffic.
+that row straight on the free lists at commit.  A reference model that
+keeps each register's mapping set as ``(cluster, preg)`` pairs runs
+alongside random traffic.
 """
 
 from collections import deque
@@ -42,8 +42,8 @@ def _check_state(unit, reference, in_flight):
         assert table.mapped_set(logical) == frozenset(clusters)
         for c, preg in _pairs(row):
             held[(c, preg >= PREGS)] += 1
-    for _, previous in in_flight:
-        for c, preg in previous:
+    for _, expected in in_flight:
+        for c, preg in expected:
             held[(c, preg >= PREGS)] += 1
     # Allocated (mapped or awaiting release) + free == capacity.
     for (c, bank), count in held.items():
@@ -62,7 +62,7 @@ def test_flat_rename_state_matches_pair_list_model(ops):
         if kind == "commit":
             if in_flight:
                 row, expected = in_flight.popleft()
-                # What commit frees is what mappings() used to return.
+                # Commit frees exactly the model's previous mapping set.
                 assert _pairs(row) == expected
                 unit.release(row)
         elif unit.free_count(cluster, bank) == 0:
@@ -76,9 +76,7 @@ def test_flat_rename_state_matches_pair_list_model(ops):
         elif unit.mapping(logical, cluster) is None:
             reference[logical][cluster] = unit.alloc_replica(logical,
                                                              cluster)
-        _check_state(unit, reference,
-                     [(row, expected) for row, expected in in_flight])
+        _check_state(unit, reference, in_flight)
     while in_flight:
-        row, expected = in_flight.popleft()
-        unit.release(row)
-    _check_state(unit, reference, [])
+        unit.release(in_flight.popleft()[0])
+    _check_state(unit, reference, in_flight)
