@@ -205,18 +205,18 @@ class Processor:
         # data value (the store-queue data side).
         self._stores_awaiting_data: List[Uop] = []
         self._dports_used = 0
-        # Flat hot-path state, hoisted once: decode and commit index
-        # the map table's per-register rows and mapped-cluster views,
-        # the free lists and the per-cluster scoreboards directly
+        # Flat hot-path state, hoisted once: decode indexes the map
+        # table's per-register rows and mapped-cluster views, the free
+        # lists' counts and the per-cluster scoreboards directly
         # instead of chasing renamer -> map_table (and cluster ->
         # regfile) method chains per operand.
         self._rob_size = config.rob_size
         map_table = self.renamer.map_table
-        self._map_table = map_table
         self._map_rows = map_table._map
         self._mapped_lists = map_table._mapped
         self._mapped_sets = map_table._mapped_sets
         self._free_lists = self.renamer.free_lists
+        self._regfiles = [cl.regfile for cl in self.clusters]
         self._ready_arrays = [cl.regfile.ready for cl in self.clusters]
         self._producer_arrays = [cl.regfile.producer
                                  for cl in self.clusters]
@@ -540,8 +540,8 @@ class Processor:
         retired = 0
         budget = self.config.retire_width
         tracer = self._tracer
-        free_lists = self._free_lists
-        pregs_per_bank = self.config.pregs_per_cluster
+        release = self.renamer.release
+        regfiles = self._regfiles
         clusters = self.clusters
         while rob and retired < budget:
             uop = rob[0]
@@ -561,12 +561,8 @@ class Processor:
             retired += 1
             row = uop.free_on_commit
             if row is not None:
-                # Free the replaced mapping set straight on the pools.
-                for fcluster, fpreg in enumerate(row):
-                    if fpreg is not None:
-                        free_lists[fcluster][fpreg >= pregs_per_bank].free(
-                            fpreg)
-                        clusters[fcluster].regfile.clear(fpreg)
+                # Free the replaced mapping set (Figure 1).
+                release(row, regfiles)
             if uop.dest_preg is not None:
                 clusters[uop.dest_cluster].regfile.producer[
                     uop.dest_preg] = None
@@ -1173,12 +1169,12 @@ class Processor:
                 pending.append(operand)
         dest = dyn.dest
         renames = dest is not None and dest != ZERO_REG
-        free_lists = self._free_lists
         clusters = self.clusters
         if helpers:
             stall = self._check_resources(dyn, cluster_id, helpers, pending,
                                           views, copies)
-        elif renames and not free_lists[cluster_id][dyn.dest_fp].available:
+        elif (renames
+              and not self._free_lists[cluster_id][dyn.dest_fp].available):
             stall = "pregs"
         else:
             cluster = clusters[cluster_id]
@@ -1228,13 +1224,12 @@ class Processor:
                     helper_uops = [helper]
                 else:
                     helper_uops.append(helper)
-        # Destination rename (Figure 1), straight on the free list.
+        # Destination rename (Figure 1).
         if renames:
-            preg = free_lists[cluster_id][dyn.dest_fp].alloc()
+            preg, uop.free_on_commit = self.renamer.define_dest(dest,
+                                                                cluster_id)
             uop.dest_preg = preg
             uop.dest_cluster = cluster_id
-            uop.free_on_commit = self._map_table.define(dest, cluster_id,
-                                                        preg)
             clusters[cluster_id].regfile.set_pending(preg, uop)
         # Helpers precede the instruction in dispatch (and ROB) order.
         # Issue-queue insertion is IssueQueue.dispatch() inlined: append

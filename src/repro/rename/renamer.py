@@ -19,9 +19,9 @@ covers both banks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..isa.registers import is_fp_reg
+from ..isa.registers import FP_BASE, is_fp_reg
 from .free_list import FreeList
 from .map_table import MapTable
 
@@ -37,8 +37,9 @@ class RenameUnit:
     At reset every logical register receives one valid mapping; the
     mappings are spread round-robin over the clusters so no single free
     pool starts depleted.  ``free_lists[cluster][bank]`` hands out
-    bank-offset physical register ids directly; the timing core
-    allocates and frees on these pools itself on its hot path.
+    bank-offset physical register ids directly, so :meth:`define_dest`
+    and :meth:`release` (the timing core's once-per-instruction calls)
+    index a pool by bank without a lookup chain.
     """
 
     def __init__(self, n_logical: int, n_clusters: int,
@@ -69,7 +70,8 @@ class RenameUnit:
         return FP_BANK if is_fp_reg(logical) else INT_BANK
 
     def _alloc(self, logical: int, cluster: int) -> Optional[int]:
-        return self.free_lists[cluster][self.bank_of(logical)].alloc()
+        # Indexing by the bool is bank_of() without its calls.
+        return self.free_lists[cluster][logical >= FP_BASE].alloc()
 
     # -- queries used by steering and decode ------------------------------------
 
@@ -80,19 +82,6 @@ class RenameUnit:
     def free_count(self, cluster: int, bank: int) -> int:
         """Free physical registers remaining in one bank of *cluster*."""
         return self.free_lists[cluster][bank].available
-
-    def mapped_clusters(self, logical: int) -> List[int]:
-        """Where *logical* currently has valid mappings (shared list —
-        read-only)."""
-        return self.map_table.mapped_clusters(logical)
-
-    def mapped_set(self, logical: int):
-        """Frozenset view of :meth:`mapped_clusters`."""
-        return self.map_table.mapped_set(logical)
-
-    def mapping(self, logical: int, cluster: int) -> Optional[int]:
-        """Physical register of *logical* in *cluster* (or ``None``)."""
-        return self.map_table.get(logical, cluster)
 
     # -- allocations -------------------------------------------------------------
 
@@ -127,14 +116,32 @@ class RenameUnit:
 
     # -- commit-time release -------------------------------------------------------
 
-    def release(self, row: List[Optional[int]]) -> None:
-        """Free a replaced row's registers at the writer's commit."""
+    def release(self, row: List[Optional[int]],
+                scoreboards: Optional[Sequence] = None) -> None:
+        """Free a replaced row's registers at the writer's commit.
+
+        *scoreboards*, when given, holds each cluster's register file;
+        every freed register's scoreboard entry is cleared in the same
+        pass.
+        """
+        free_lists = self.free_lists
         ppb = self.pregs_per_bank
         for cluster, preg in enumerate(row):
             if preg is not None:
-                self.free_lists[cluster][preg >= ppb].free(preg)
+                free_lists[cluster][preg >= ppb].free(preg)
+                if scoreboards is not None:
+                    scoreboards[cluster].clear(preg)
 
     # -- audits (tests) -------------------------------------------------------------
+
+    def mapped_clusters(self, logical: int) -> List[int]:
+        """Where *logical* currently has valid mappings (shared list —
+        read-only)."""
+        return self.map_table.mapped_clusters(logical)
+
+    def mapping(self, logical: int, cluster: int) -> Optional[int]:
+        """Physical register of *logical* in *cluster* (or ``None``)."""
+        return self.map_table.get(logical, cluster)
 
     def allocated_counts(self) -> Dict[Tuple[int, int], int]:
         """Allocated register counts per (cluster, bank) for invariants."""

@@ -137,10 +137,7 @@ class RMBSSteerer(Steerer):
             self.last_reason = "mapped"
             if map_b is None or map_b is map_a:
                 return dcount.least_loaded_among(map_a)
-            best = dcount.least_loaded_among(map_a, within=map_b)
-            if best is None:  # disjoint: the union votes
-                best = dcount.least_loaded_among(map_a | map_b)
-            return best
+            return dcount.least_loaded_among(map_a & map_b or map_a | map_b)
         if relevant and not mod2_applies:
             # Operands exist but none is mapped anywhere useful (only
             # possible for always-available zero-register operands,

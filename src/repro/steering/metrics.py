@@ -13,7 +13,7 @@ we.
 
 from __future__ import annotations
 
-from typing import Container, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 __all__ = ["DCountTracker", "NReadyMeter"]
 
@@ -63,19 +63,14 @@ class DCountTracker:
         raw = self.raw
         return min(range(self.n_clusters), key=raw.__getitem__)
 
-    def least_loaded_among(self, candidates: Iterable[int],
-                           within: Optional[Container[int]] = None
-                           ) -> Optional[int]:
-        """Least-loaded cluster of *candidates* that is also in *within*
-        (when given), ties to the lowest id; ``None`` if none qualifies.
+    def least_loaded_among(self, candidates: Iterable[int]) -> int:
+        """Least-loaded cluster of *candidates* (ties to the lowest id).
 
         A plain loop, so steering's per-decode calls allocate nothing.
         """
         raw = self.raw
         best = None
         for c in candidates:
-            if within is not None and c not in within:
-                continue
             if best is None or raw[c] < raw[best] or (
                     raw[c] == raw[best] and c < best):
                 best = c

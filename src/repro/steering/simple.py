@@ -28,7 +28,6 @@ class RoundRobinSteerer(Steerer):
 
     name = "round-robin"
     last_reason = "round-robin"
-    reads_sources = False
 
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc=None) -> int:
@@ -40,7 +39,6 @@ class BalanceOnlySteerer(Steerer):
 
     name = "balance-only"
     last_reason = "balance"
-    reads_sources = False
 
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc=None) -> int:

@@ -83,7 +83,6 @@ class StaticSteerer(Steerer):
     """
 
     name = "static"
-    reads_sources = False
 
     def __init__(self, n_clusters: int,
                  assignment: Optional[Dict[int, int]] = None) -> None:

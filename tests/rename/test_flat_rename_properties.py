@@ -2,7 +2,7 @@
 
 The map table keeps per-register rows plus always-current mapped-cluster
 views, ``define`` returns the replaced row, and the timing core frees
-that row straight on the free lists at commit.  A reference model that
+that row with ``RenameUnit.release`` at commit.  A reference model that
 keeps each register's mapping set as ``(cluster, preg)`` pairs runs
 alongside random traffic.
 """

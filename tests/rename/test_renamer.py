@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.register_file import NEVER, RegisterFile
 from repro.isa.registers import FP_BASE, NUM_LOGICAL_REGS
 from repro.rename import RenameUnit
 from repro.rename.renamer import FP_BANK, INT_BANK
@@ -61,6 +62,22 @@ def test_replica_then_redefine_then_release_roundtrip():
     # The replica and the original were freed, the new dest was
     # allocated: one mapping before, one mapping after.
     assert after == before
+
+
+def test_release_clears_scoreboards_of_freed_registers():
+    unit = RenameUnit(NUM_LOGICAL_REGS, 2, 40)
+    scoreboards = [RegisterFile(80), RegisterFile(80)]
+    replica = unit.alloc_replica(2, 1)
+    original = unit.mapping(2, 0)
+    preg, previous = unit.define_dest(2, 0)
+    for cluster, freed in ((0, original), (1, replica), (0, preg)):
+        scoreboards[cluster].set_pending(freed, "producer")
+    unit.release(previous, scoreboards)
+    assert scoreboards[0].ready[original] == NEVER
+    assert scoreboards[0].producer[original] is None
+    assert scoreboards[1].producer[replica] is None
+    # The new destination is not part of the released row.
+    assert scoreboards[0].producer[preg] == "producer"
 
 
 def test_free_count_decrements_per_bank():
