@@ -29,7 +29,6 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,10 +45,13 @@ def serve() -> int:
     """Worker loop: one JSON cell request per stdin line, one reply each.
 
     Runs against whichever ``repro`` is first on ``sys.path`` (the
-    parent points ``PYTHONPATH`` at one tree's ``src``).
+    parent points ``PYTHONPATH`` at one tree's ``src``), and times each
+    cell with ``harness.timed`` from this script's own folder, so both
+    trees are timed by the same protocol.
     """
     import dataclasses
 
+    import harness
     from repro.core import make_config, simulate
     from repro.workloads import workload_trace
 
@@ -58,9 +60,8 @@ def serve() -> int:
         config = make_config(cell["clusters"], predictor=cell["predictor"],
                              steering=cell["steering"])
         trace = list(workload_trace(cell["workload"], cell["length"]))
-        start = time.perf_counter()
-        result = simulate(trace, config, profile=cell["profile"])
-        seconds = time.perf_counter() - start
+        result, seconds = harness.timed(
+            lambda: simulate(trace, config, profile=cell["profile"]))
         reply = {"seconds": seconds,
                  "stats": json.dumps(dataclasses.asdict(result.stats),
                                      sort_keys=True)}

@@ -11,19 +11,20 @@ survives re-runs).
 Entries are written through
 :func:`repro.analysis.perf_report.append_entry` — schema-tagged,
 stably key-ordered, deduplicated — so ``repro report`` can always
-render the trajectory.  Each entry also carries provenance (git
-commit via :func:`repro.analysis.provenance.git_commit`, UTC
-timestamp, python version — see :func:`provenance`), the dispatch chunk size
+render the trajectory.  Each entry also carries the provenance stamp
+(:func:`repro.analysis.provenance.stamp`: git commit, UTC timestamp,
+host), the dispatch chunk size
 (``repro.analysis.parallel.resolve_chunksize``), the pool-reuse and
 cache sections, the serial run's per-cell wall-clock costs (the slowest
 cells, from ``run_cells(timings=...)``) and a tracer overhead section
-comparing an untraced run against ring-buffer and JSONL tracing
-(min-of-N, docs/OBSERVABILITY.md).
+comparing an untraced run against ring-buffer and JSONL tracing.
+Every reading is taken under the one timing protocol of
+``benchmarks/harness.py``.
 
 Run directly (``python benchmarks/bench_wallclock.py``) or via
 ``make bench-wallclock``.  Knobs: ``REPRO_JOBS`` sets the parallel
 worker count (default: all cores), ``REPRO_TRACE_LEN`` the per-cell
-trace length, ``REPRO_CHUNKSIZE`` the cells per worker dispatch.
+trace length.
 
 ``--sampled`` runs the checkpointed-sampling benchmark instead
 (docs/SAMPLING.md): each workload gets one full detailed
@@ -31,7 +32,8 @@ million-instruction reference run and one sampled run at the
 validated plan (16 windows of 200+1200), and the entry records
 per-workload IPC error, effective insts/s and speedup with
 ``"shape": "sampled"`` so the detailed-throughput regression guard
-never mixes the two populations.
+never mixes the two populations.  ``make sample-check`` gates the same
+measurement (:func:`detailed_vs_sampled`) on one workload.
 
 The recorded ``cpu_count`` is what makes the speedup interpretable:
 on a single-core host the parallel path degenerates to process overhead
@@ -43,31 +45,31 @@ to zero records no ``speedup`` at all (``None`` would read as
 
 from __future__ import annotations
 
-import datetime
 import os
 import pathlib
-import platform
 import sys
 import tempfile
-import time
 from typing import Optional
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
 
+import harness
 from repro.analysis.cache import ResultCache, use_cache
 from repro.analysis.perf_report import append_entry
-from repro.analysis.provenance import git_commit
+from repro.analysis.provenance import stamp
 from repro.analysis.parallel import (SweepCell, WorkerPool,
                                      resolve_chunksize, resolve_jobs,
                                      resolve_trace_length, run_cells)
+from repro.analysis.sampling import SamplingConfig
 from repro.core import make_config, simulate
+from repro.isa.executor import FunctionalExecutor
 from repro.obs import EventTracer, JsonlSink, RingBufferSink
-from repro.workloads import clear_trace_cache, workload_names, \
-    workload_trace
+from repro.workloads import build_workload, clear_trace_cache, \
+    workload_names, workload_trace
 
-RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_sweep.json"
+RESULT_PATH = HERE.parent / "BENCH_sweep.json"
 
 #: The benchmark sweep: every suite workload at 2 and 4 clusters.
 CONFIGS = ((2, "stride", "vpb"), (4, "stride", "vpb"))
@@ -78,6 +80,15 @@ def build_cells(length: int):
                       predictor=predictor, steering=steering, length=length)
             for name in workload_names()
             for n, predictor, steering in CONFIGS]
+
+
+def sweep_jobs() -> int:
+    """The parallel worker count: ``REPRO_JOBS``, else all cores.
+
+    ``resolve_jobs`` validates the variable, so a malformed value
+    raises :class:`~repro.errors.ConfigError` naming it.
+    """
+    return resolve_jobs(None if "REPRO_JOBS" in os.environ else 0)
 
 
 def speedup_of(serial_s: float, parallel_s: float) -> Optional[float]:
@@ -101,35 +112,30 @@ def rate_of(insts: int, seconds: float) -> Optional[float]:
     return round(insts / seconds, 1)
 
 
-def provenance() -> dict:
-    """Where and when this entry was measured.
+def committed_insts(results) -> int:
+    return sum(result.stats.committed_insts for result in results.values())
 
-    The git commit (plus a ``-dirty`` suffix for uncommitted changes),
-    a UTC timestamp and the interpreter version make every trajectory
-    entry attributable after the fact; without them a regression in the
-    history cannot be tied to the change that caused it.  Entries
-    recorded outside a git checkout carry ``"commit": null``.
+
+def identical(a, b) -> bool:
+    """True when two result dicts hold the same cells and metrics."""
+    return a.keys() == b.keys() and all(
+        a[key].to_dict() == b[key].to_dict() for key in a)
+
+
+def timed_sweep(cells, jobs: int, repeats: int = 1, **kwargs):
+    """``(results, min seconds)`` of ``run_cells(cells, jobs=jobs)``.
+
+    Every run starts from an empty in-process trace cache, so serial
+    and parallel sweeps pay (or amortize) trace generation the same
+    way a fresh campaign would.
     """
-    timestamp = datetime.datetime.now(datetime.timezone.utc)
-    return {
-        "commit": git_commit(),
-        "timestamp_utc": timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "python": platform.python_version(),
-    }
+    def run():
+        clear_trace_cache()
+        return run_cells(cells, jobs=jobs, **kwargs)
+    return harness.timed(run, repeats)
 
 
-def timed_run(cells, jobs: int, timings=None, cache=None):
-    # Drop the in-process trace cache so the serial and parallel paths
-    # both pay (or amortize) trace generation the same way a fresh
-    # campaign would.
-    clear_trace_cache()
-    start = time.perf_counter()
-    results = run_cells(cells, jobs=jobs, timings=timings, cache=cache)
-    elapsed = time.perf_counter() - start
-    return results, elapsed
-
-
-def pool_reuse_timings(cells, jobs: int) -> dict:
+def pool_reuse_timings(cells, jobs: int) -> tuple:
     """Cold (worker startup included) vs warm (reused pool) sweep times.
 
     The pre-fix drivers each constructed a fresh executor, so every
@@ -137,8 +143,8 @@ def pool_reuse_timings(cells, jobs: int) -> dict:
     drivers inside one ``with WorkerPool(...)`` block pays per sweep.
     """
     with WorkerPool(jobs) as pool:
-        _, cold_s = timed_run(cells, jobs=jobs)
-        results, warm_s = timed_run(cells, jobs=jobs)
+        _, cold_s = timed_sweep(cells, jobs)
+        results, warm_s = timed_sweep(cells, jobs)
         assert pool.started or jobs <= 1
     return results, {
         "cold_seconds": round(cold_s, 3),
@@ -150,19 +156,18 @@ def cache_timings(cells, serial) -> dict:
     """Cold-populate vs warm-hit sweep times through a fresh cache."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        _, cold_s = timed_run(cells, jobs=1, cache=cache)
+        cold, cold_s = timed_sweep(cells, 1, cache=cache)
         cold_stats = (cache.stats.hits, cache.stats.misses)
-        warm, warm_s = timed_run(cells, jobs=1, cache=cache)
+        warm, warm_s = timed_sweep(cells, 1, cache=cache)
         warm_hits = cache.stats.hits - cold_stats[0]
-        identical = warm.keys() == serial.keys() and all(
-            warm[key].to_dict() == serial[key].to_dict() for key in serial)
     return {
         "cold_seconds": round(cold_s, 3),
         "warm_seconds": round(warm_s, 3),
         "cold_misses": cold_stats[1],
         "warm_hits": warm_hits,
         "warm_speedup": speedup_of(cold_s, warm_s),
-        "metric_identical": identical,
+        "metric_identical": (identical(serial, cold)
+                             and identical(serial, warm)),
     }
 
 
@@ -173,17 +178,49 @@ def cache_timings(cells, serial) -> dict:
 SAMPLED_WORKLOADS = ("mesatexgen", "cjpeg", "rawcaudio", "mpeg2enc",
                      "mesaosdemo", "rasta", "gsmdec", "pgpdec")
 SAMPLED_LENGTH = 1_000_000
+SAMPLED_PLAN = SamplingConfig(interval=1200, warmup=200, samples=16)
 SAMPLED_MAX_ERROR = 0.02
 SAMPLED_MIN_SPEEDUP = 20.0
 
 
+def detailed_vs_sampled(name: str, config, length: int = SAMPLED_LENGTH,
+                        sampling: SamplingConfig = SAMPLED_PLAN,
+                        repeats: int = 1) -> dict:
+    """One workload's sampled run against its detailed reference run.
+
+    The detailed run is timed once: it lasts about a minute at a
+    million instructions and averages host noise out by itself.  The
+    sampled side is min-of-*repeats*, since a run of a few seconds is
+    exposed to noise spikes a single shot cannot average away.  Both
+    timings include building the workload program; the IPC figures
+    are deterministic, so repetition only affects the timing.
+    """
+    detailed, detailed_s = harness.timed(lambda: simulate(
+        FunctionalExecutor(build_workload(name), length).run(), config,
+        max_instructions=length))
+    sampled, sampled_s = harness.timed(lambda: simulate(
+        build_workload(name), config, max_instructions=length,
+        sampling=sampling, workload_name=name), repeats)
+    ref_ipc = detailed.stats.committed_insts / detailed.stats.cycles
+    detailed_rate = detailed.stats.committed_insts / detailed_s
+    effective_rate = sampled.total_insts / sampled_s
+    return {
+        "workload": name,
+        "detailed_ipc": round(ref_ipc, 4),
+        "sampled_ipc": round(sampled.ipc, 4),
+        "ipc_error": round((sampled.ipc - ref_ipc) / ref_ipc, 4),
+        "ipc_ci95": round(sampled.ipc_ci95, 4),
+        "detailed_seconds": round(detailed_s, 3),
+        "sampled_seconds": round(sampled_s, 3),
+        "detailed_insts_per_second": round(detailed_rate, 1),
+        "effective_insts_per_second": round(effective_rate, 1),
+        "speedup": round(effective_rate / detailed_rate, 2),
+    }
+
+
 def sampled_benchmark() -> int:
     """Detailed-vs-sampled benchmark; appends a ``shape: sampled`` entry."""
-    from repro.analysis.sampling import SamplingConfig
-    from repro.isa.executor import FunctionalExecutor
-    from repro.workloads import build_workload
-
-    sampling = SamplingConfig(interval=1200, warmup=200, samples=16)
+    sampling = SAMPLED_PLAN
     config = make_config(2, predictor="stride", steering="vpb")
     print(f"sampled sweep: {len(SAMPLED_WORKLOADS)} workloads x "
           f"{SAMPLED_LENGTH} insts, {sampling.samples} windows of "
@@ -192,47 +229,21 @@ def sampled_benchmark() -> int:
 
     rows = []
     for name in SAMPLED_WORKLOADS:
-        start = time.perf_counter()
-        detailed = simulate(
-            FunctionalExecutor(build_workload(name), SAMPLED_LENGTH).run(),
-            config, max_instructions=SAMPLED_LENGTH)
-        detailed_s = time.perf_counter() - start
-        ref_ipc = detailed.stats.committed_insts / detailed.stats.cycles
-
-        sampled = simulate(build_workload(name), config,
-                           max_instructions=SAMPLED_LENGTH,
-                           sampling=sampling, workload_name=name)
-        error = (sampled.ipc - ref_ipc) / ref_ipc
-        detailed_rate = detailed.stats.committed_insts / detailed_s
-        speedup = sampled.effective_insts_per_second / detailed_rate
-        passed = (abs(error) <= SAMPLED_MAX_ERROR
-                  and speedup >= SAMPLED_MIN_SPEEDUP)
-        rows.append({
-            "workload": name,
-            "detailed_ipc": round(ref_ipc, 4),
-            "sampled_ipc": round(sampled.ipc, 4),
-            "ipc_error": round(error, 4),
-            "ipc_ci95": round(sampled.ipc_ci95, 4),
-            "detailed_seconds": round(detailed_s, 3),
-            "sampled_seconds": round(sampled.wall_seconds, 3),
-            "detailed_insts_per_second": rate_of(
-                detailed.stats.committed_insts, detailed_s),
-            "effective_insts_per_second": round(
-                sampled.effective_insts_per_second, 1),
-            "speedup": round(speedup, 2),
-            "within_bars": passed,
-        })
-        print(f"  {name:12s}: sampled {sampled.ipc:.4f} vs detailed "
-              f"{ref_ipc:.4f} ({error:+.2%}), {speedup:.1f}x "
-              f"[{'ok' if passed else 'MISS'}]")
+        row = detailed_vs_sampled(name, config)
+        row["within_bars"] = (abs(row["ipc_error"]) <= SAMPLED_MAX_ERROR
+                              and row["speedup"] >= SAMPLED_MIN_SPEEDUP)
+        rows.append(row)
+        print(f"  {name:12s}: sampled {row['sampled_ipc']:.4f} vs "
+              f"detailed {row['detailed_ipc']:.4f} "
+              f"({row['ipc_error']:+.2%}), {row['speedup']:.1f}x "
+              f"[{'ok' if row['within_bars'] else 'MISS'}]")
 
     passing = sum(row["within_bars"] for row in rows)
     errors = [abs(row["ipc_error"]) for row in rows]
     entry = {
         "benchmark": "sampled_sweep",
         "shape": "sampled",
-        **provenance(),
-        "cpu_count": os.cpu_count(),
+        **stamp(),
         "trace_length": SAMPLED_LENGTH,
         "sampling": sampling.canonical_dict(),
         "config": {"clusters": 2, "predictor": "stride",
@@ -273,8 +284,7 @@ def main(argv=None) -> int:
 
 def _main() -> int:
     length = resolve_trace_length(None, default=4_000)
-    jobs = resolve_jobs(int(os.environ["REPRO_JOBS"])
-                        if "REPRO_JOBS" in os.environ else 0)
+    jobs = sweep_jobs()
     cells = build_cells(length)
     chunksize = resolve_chunksize(None, len(cells), jobs)
     print(f"sweep: {len(cells)} cells x {length} instructions; "
@@ -282,7 +292,7 @@ def _main() -> int:
           f"(cpu_count={os.cpu_count()})")
 
     cell_timings: dict = {}
-    serial, serial_s = timed_run(cells, jobs=1, timings=cell_timings)
+    serial, serial_s = timed_sweep(cells, 1, timings=cell_timings)
     print(f"serial  : {serial_s:.2f}s")
     parallel, pool_reuse = pool_reuse_timings(cells, jobs)
     parallel_s = pool_reuse["warm_seconds"]
@@ -299,16 +309,13 @@ def _main() -> int:
     print(f"tracer overhead: ring {overhead['ring_overhead']:+.1%}, "
           f"jsonl {overhead['jsonl_overhead']:+.1%}")
 
-    identical = serial.keys() == parallel.keys() and all(
-        serial[key].to_dict() == parallel[key].to_dict() for key in serial)
-    identical = identical and cache["metric_identical"]
-    insts = sum(result.stats.committed_insts for result in serial.values())
+    same = identical(serial, parallel) and cache["metric_identical"]
+    insts = committed_insts(serial)
     speedup = speedup_of(serial_s, parallel_s)
     entry = {
         "benchmark": "sweep_wallclock",
         "shape": "serial",
-        **provenance(),
-        "cpu_count": os.cpu_count(),
+        **stamp(),
         "jobs": jobs,
         "chunksize": chunksize,
         "cells": len(cells),
@@ -320,7 +327,7 @@ def _main() -> int:
         "simulated_insts": insts,
         "serial_insts_per_second": rate_of(insts, serial_s),
         "parallel_insts_per_second": rate_of(insts, parallel_s),
-        "metric_identical": identical,
+        "metric_identical": same,
         "slowest_cells": [{"workload": key[0], "clusters": key[1],
                            "seconds": round(seconds, 3)}
                           for key, seconds in slowest],
@@ -333,17 +340,16 @@ def _main() -> int:
     print(f"speedup : {shown} on {jobs} job(s) (warm pool); "
           f"cache warm rerun "
           f"{cache['warm_speedup'] or 'n/a'}x vs cold")
-    print(f"metric-identical: {identical}")
+    print(f"metric-identical: {same}")
     print(f"recorded in {RESULT_PATH}")
-    return 0 if identical else 1
+    return 0 if same else 1
 
 
 def tracer_overhead(length: int, repeats: int = 3) -> dict:
     """Min-of-N wall-clock of one run untraced vs ring vs JSONL.
 
-    The three variants are interleaved within each repeat so host
-    drift hits them equally; min over repeats filters the noise.
-    Ratios > 1 are tracing cost.
+    Ratios above 1 are tracing cost.  ``make obs-check`` gates the
+    ring figure with the same protocol.
     """
     trace = list(workload_trace("cjpeg", length))
     config = make_config(4, predictor="stride", steering="vpb")
@@ -352,28 +358,18 @@ def tracer_overhead(length: int, repeats: int = 3) -> dict:
         path = os.path.join(tmp, "bench.jsonl")
 
         def jsonl_run():
-            sink = JsonlSink(path, config.describe())
-            try:
+            with JsonlSink(path, config.describe()) as sink:
                 simulate(list(trace), config, tracer=EventTracer(sink))
-            finally:
-                sink.close()
 
-        variants = (
-            ("baseline", lambda: simulate(list(trace), config)),
-            ("ring", lambda: simulate(
+        best = harness.interleaved_min({
+            "baseline": lambda: simulate(list(trace), config),
+            "ring": lambda: simulate(
                 list(trace), config,
-                tracer=EventTracer(RingBufferSink()))),
-            ("jsonl", jsonl_run),
-        )
-        times = {name: [] for name, _ in variants}
-        for _ in range(repeats):
-            for name, run in variants:
-                start = time.perf_counter()
-                run()
-                times[name].append(time.perf_counter() - start)
-    baseline = min(times["baseline"])
-    ring = min(times["ring"])
-    jsonl = min(times["jsonl"])
+                tracer=EventTracer(RingBufferSink())),
+            "jsonl": jsonl_run,
+        }, repeats)
+    baseline, ring, jsonl = (best[name][1]
+                             for name in ("baseline", "ring", "jsonl"))
     return {
         "baseline_seconds": round(baseline, 4),
         "ring_seconds": round(ring, 4),

@@ -12,7 +12,7 @@ docs/OBSERVABILITY.md:
    :func:`repro.obs.schema.validate_jsonl_trace` and the Chrome file
    passes :func:`repro.obs.schema.validate_chrome_trace`.
 4. **Overhead** — ring-buffer tracing costs < 10% wall-clock over the
-   untraced run (interleaved min-of-N timing to filter host noise).
+   untraced run (``harness``'s interleaved min-of-N timing).
 5. **Zero-cost when off** — an untraced, unmetered run performs *no*
    allocation from any ``repro.obs`` module (tracemalloc audit): the
    disabled hooks must stay behind their ``is not None`` guards, so
@@ -31,12 +31,13 @@ import os
 import pathlib
 import sys
 import tempfile
-import time
 import tracemalloc
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
 
+import harness
 from repro.core import make_config, simulate
 from repro.obs import (ChromeTraceSink, EventTracer, JsonlSink,
                        RingBufferSink)
@@ -52,32 +53,16 @@ OVERHEAD_BUDGET = 0.10
 def _measure_overhead(trace, config, repeats: int):
     """Min-of-N interleaved timing of untraced vs ring-traced runs.
 
-    The variants are interleaved so host drift hits both equally, and
-    the cyclic collector is paused inside each timed window:
-    collection *frequency* depends on allocation counts, so with it
-    enabled the traced run pays extra whole-heap scans whose cost is
-    really a property of the host's heap, not of the tracer.  Timing
-    noise is one-sided (preemption and cache pollution only ever
-    *add* time), so min-of-N per variant is the estimator — the
-    fastest run is the closest observation of each variant's true
-    cost.
+    The collector pause (see ``harness``) matters here: the traced run
+    allocates more, so with the collector on it pays extra whole-heap
+    scans whose cost is a property of the host's heap, not the tracer.
     """
-    untraced_times, ring_times = [], []
-    for _ in range(repeats):
-        for times, kwargs in ((untraced_times, {}),
-                              (ring_times,
-                               {"tracer":
-                                EventTracer(RingBufferSink())})):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                simulate(list(trace), config, **kwargs)
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-    untraced_s = min(untraced_times)
-    ring_s = min(ring_times)
+    best = harness.interleaved_min({
+        "untraced": lambda: simulate(list(trace), config),
+        "ring": lambda: simulate(list(trace), config,
+                                 tracer=EventTracer(RingBufferSink())),
+    }, repeats)
+    untraced_s, ring_s = best["untraced"][1], best["ring"][1]
     return untraced_s, ring_s, ring_s / untraced_s - 1.0
 
 
@@ -118,18 +103,10 @@ def run_checks(length: int = 4000, repeats: int = 5,
 
     if check_overhead:
         # Timed first, on a clean heap: the schema/serialization
-        # checks below churn enough garbage to visibly slow later
-        # runs.  On a loaded (or single-core) host a sustained burst
-        # of interference can still straddle every ring run of one
-        # measurement, so a reading over budget is re-measured once
-        # with doubled repeats and the better observation wins —
-        # genuine regressions fail both readings.
-        untraced_s, ring_s, overhead = _measure_overhead(
-            trace, config, repeats)
-        if overhead >= overhead_budget:
-            retry = _measure_overhead(trace, config, repeats * 2)
-            if retry[2] < overhead:
-                untraced_s, ring_s, overhead = retry
+        # checks below churn enough garbage to visibly slow later runs.
+        untraced_s, ring_s, overhead = harness.within_budget(
+            lambda repeats: _measure_overhead(trace, config, repeats),
+            repeats, lambda reading: reading[2], overhead_budget)
         checks.append((f"ring overhead < {overhead_budget:.0%}",
                        overhead < overhead_budget,
                        f"{overhead:+.1%} ({untraced_s:.3f}s -> "
@@ -178,22 +155,7 @@ def run_checks(length: int = 4000, repeats: int = 5,
 
 
 def main() -> int:
-    checks = run_checks()
-    width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    for name, ok, detail in checks:
-        mark = "ok " if ok else "FAIL"
-        line = f"{mark} {name:<{width}}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
-        if not ok:
-            failed += 1
-    if failed:
-        print(f"\n{failed} observability check(s) failed")
-        return 1
-    print("\nall observability checks passed")
-    return 0
+    return harness.report(run_checks(), "observability")
 
 
 if __name__ == "__main__":

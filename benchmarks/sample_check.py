@@ -4,10 +4,10 @@ sample-check``).
 Four guarantees, each fatal when violated:
 
 1. **Throughput** — a million-instruction sampled run must deliver
-   >= ``MIN_SPEEDUP``x the detailed model's effective
+   >= ``SAMPLED_MIN_SPEEDUP`` (20x) the detailed model's effective
    instructions-per-second on the same workload/configuration/host.
-2. **Accuracy** — its IPC estimate must land within ``MAX_IPC_ERROR``
-   of the uninterrupted detailed run's IPC.
+2. **Accuracy** — its IPC estimate must land within
+   ``SAMPLED_MAX_ERROR`` (2%) of the uninterrupted detailed run's IPC.
 3. **Checkpoint identity** — ``save -> restore -> resume`` must be
    bit-identical to never having snapshotted, for both snapshot kinds
    (a mid-run machine snapshot and a fast-forward executor
@@ -28,11 +28,12 @@ from __future__ import annotations
 import pathlib
 import sys
 import tempfile
-import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+import harness
+from bench_wallclock import (SAMPLED_MAX_ERROR, SAMPLED_MIN_SPEEDUP,
+                             SAMPLED_PLAN, detailed_vs_sampled)
 from repro.analysis.parallel import SweepCell, run_cells
 from repro.analysis.provenance import RunReceipt
 from repro.analysis.sampling import SamplingConfig
@@ -45,55 +46,31 @@ from repro.workloads import build_workload
 
 WORKLOAD = "mesatexgen"
 LENGTH = 1_000_000
-SAMPLING = SamplingConfig(interval=1200, warmup=200, samples=16)
 CONFIG_KW = dict(predictor="stride", steering="vpb")
 CLUSTERS = 2
 
-MIN_SPEEDUP = 20.0
-MAX_IPC_ERROR = 0.02
-
-
-def check(label: str, ok: bool, detail: str) -> tuple:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}: {detail}")
-    return (label, ok, detail)
-
 
 def throughput_and_accuracy(length: int = LENGTH,
-                            sampling: SamplingConfig = SAMPLING,
-                            min_speedup: float = MIN_SPEEDUP,
-                            max_error: float = MAX_IPC_ERROR,
+                            sampling: SamplingConfig = SAMPLED_PLAN,
+                            min_speedup: float = SAMPLED_MIN_SPEEDUP,
+                            max_error: float = SAMPLED_MAX_ERROR,
                             repeats: int = 3) -> list:
     """Guarantees 1 + 2: the sampled run vs the detailed reference.
 
-    The sampled side is min-of-*repeats*: its ~2 s wall is exposed to
-    host-noise spikes a single shot can't average away, while the
-    minute-long detailed reference self-averages.  The IPC estimate is
-    deterministic — repetition only affects the timing.
+    The same measurement as ``bench_wallclock --sampled`` on one
+    workload, with the sampled side timed min-of-*repeats*.
     """
-    config = make_config(CLUSTERS, **CONFIG_KW)
-    program = build_workload(WORKLOAD)
-    start = time.perf_counter()
-    detailed = simulate(FunctionalExecutor(program, length).run(),
-                        config, max_instructions=length)
-    detailed_s = time.perf_counter() - start
-    ref_ipc = detailed.stats.committed_insts / detailed.stats.cycles
-    detailed_rate = detailed.stats.committed_insts / detailed_s
-
-    sampled = min(
-        (simulate(build_workload(WORKLOAD), config,
-                  max_instructions=length, sampling=sampling,
-                  workload_name=WORKLOAD) for _ in range(repeats)),
-        key=lambda result: result.wall_seconds)
-    speedup = sampled.effective_insts_per_second / detailed_rate
-    error = abs(sampled.ipc - ref_ipc) / ref_ipc
-    return [check(
-        "throughput", speedup >= min_speedup,
-        f"{sampled.effective_insts_per_second:,.0f} effective insts/s "
-        f"vs {detailed_rate:,.0f} detailed = {speedup:.1f}x "
-        f"(need >= {min_speedup:.0f}x)"), check(
-        "accuracy", error <= max_error,
-        f"sampled IPC {sampled.ipc:.4f} vs detailed {ref_ipc:.4f} = "
-        f"{error:+.2%} (need <= {max_error:.0%})")]
+    row = detailed_vs_sampled(WORKLOAD, make_config(CLUSTERS, **CONFIG_KW),
+                              length, sampling, repeats)
+    return [(
+        "throughput", row["speedup"] >= min_speedup,
+        f"{row['effective_insts_per_second']:,.0f} effective insts/s "
+        f"vs {row['detailed_insts_per_second']:,.0f} detailed = "
+        f"{row['speedup']:.1f}x (need >= {min_speedup:.0f}x)"), (
+        "accuracy", abs(row["ipc_error"]) <= max_error,
+        f"sampled IPC {row['sampled_ipc']:.4f} vs detailed "
+        f"{row['detailed_ipc']:.4f} = {row['ipc_error']:+.2%} "
+        f"(need <= {max_error:.0%})")]
 
 
 def machine_roundtrip(tmp: str) -> tuple:
@@ -120,7 +97,7 @@ def machine_roundtrip(tmp: str) -> tuple:
             and resumed.stats.committed_insts
             == baseline.stats.committed_insts
             and resumed.stats.ipc == baseline.stats.ipc)
-    return check(
+    return (
         "machine snapshot roundtrip", same,
         f"resume @{cut}: {resumed.stats.committed_insts} insts / "
         f"{resumed.stats.cycles} cycles vs uninterrupted "
@@ -144,7 +121,7 @@ def executor_roundtrip(tmp: str) -> tuple:
             and resumed.pc == straight.pc
             and resumed.int_regs == straight.int_regs
             and resumed.fp_regs == straight.fp_regs)
-    return check(
+    return (
         "executor checkpoint roundtrip", same,
         f"resume @{cut}: seq {resumed.seq}, architectural state "
         f"{'identical' if same else 'DIVERGED'}")
@@ -165,18 +142,18 @@ def receipt_schema(tmp: str) -> list:
     receipt = RunReceipt.from_monitor(monitor, label="sample-check")
     cells = validate_receipt(receipt.to_dict())
     block = receipt.to_dict()["cells"][0]["sampling"]
-    return [check(
+    return [(
         "receipt schema", cells == 1 and block is not None
         and block["interval"] == 1200,
-        f"{cells} cell(s), sampling block {block}"), check(
+        f"{cells} cell(s), sampling block {block}"), (
         "sampled cell result", results[(WORKLOAD, "sampled")].ipc > 0,
         f"cell IPC {results[(WORKLOAD, 'sampled')].ipc:.4f}")]
 
 
 def run_checks(length: int = LENGTH,
-               sampling: SamplingConfig = SAMPLING,
-               min_speedup: float = MIN_SPEEDUP,
-               max_error: float = MAX_IPC_ERROR) -> list:
+               sampling: SamplingConfig = SAMPLED_PLAN,
+               min_speedup: float = SAMPLED_MIN_SPEEDUP,
+               max_error: float = SAMPLED_MAX_ERROR) -> list:
     """All four guarantees as ``(label, ok, detail)`` tuples.
 
     The tier-1 wrapper (``tests/analysis/test_sample_check.py``) runs
@@ -198,12 +175,9 @@ def run_checks(length: int = LENGTH,
 
 def main() -> int:
     print(f"sample-check: {WORKLOAD} x {LENGTH} insts, "
-          f"{SAMPLING.samples} windows of "
-          f"{SAMPLING.warmup}+{SAMPLING.interval}")
-    checks = run_checks()
-    ok = all(passed for _, passed, _ in checks)
-    print(f"sample-check: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+          f"{SAMPLED_PLAN.samples} windows of "
+          f"{SAMPLED_PLAN.warmup}+{SAMPLED_PLAN.interval}")
+    return harness.report(run_checks(), "sampling")
 
 
 if __name__ == "__main__":

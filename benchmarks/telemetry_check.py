@@ -5,7 +5,7 @@ a :class:`~repro.obs.telemetry.SweepMonitor` and asserts the contract
 documented in docs/OBSERVABILITY.md:
 
 1. **Overhead** — monitoring a sweep costs < 2% wall-clock over the
-   unmonitored run (interleaved min-of-N timing to filter host noise).
+   unmonitored run (``harness``'s interleaved min-of-N timing).
 2. **Non-invasiveness** — every ``SimStats`` field of the monitored
    sweep is bit-identical to the unmonitored run's.
 3. **Schema validity** — the telemetry JSONL event log passes
@@ -24,17 +24,17 @@ these fails ``make test`` as well as ``make telemetry-check``.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import os
 import pathlib
 import sys
 import tempfile
-import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
 
+import harness
 from repro.analysis import ResultCache, SweepCell, run_cells, use_cache
 from repro.obs.schema import (TraceSchemaError, validate_receipt,
                               validate_telemetry_jsonl)
@@ -63,30 +63,19 @@ def build_cells(length: int):
 def _measure_overhead(cells, repeats: int):
     """Min-of-N interleaved timing of unmonitored vs monitored sweeps.
 
-    The variants are interleaved so host drift hits both equally, and
-    the cyclic collector is paused inside each timed window (collection
-    frequency tracks allocation counts, which the monitor's event dicts
-    inflate).  Timing noise is one-sided — preemption only ever *adds*
-    time — so min-of-N per variant is the estimator.
+    The collector pause (see ``harness``) matters here: the monitor's
+    event dicts inflate allocation counts, and with them collection
+    frequency.
     """
-    plain_times, monitored_times = [], []
-    for _ in range(repeats):
-        for times, monitored in ((plain_times, False),
-                                 (monitored_times, True)):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                if monitored:
-                    with use_monitor(SweepMonitor()):
-                        run_cells(cells, jobs=1)
-                else:
-                    run_cells(cells, jobs=1)
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-    plain_s = min(plain_times)
-    monitored_s = min(monitored_times)
+    def monitored():
+        with use_monitor(SweepMonitor()):
+            run_cells(cells, jobs=1)
+
+    best = harness.interleaved_min({
+        "plain": lambda: run_cells(cells, jobs=1),
+        "monitored": monitored,
+    }, repeats)
+    plain_s, monitored_s = best["plain"][1], best["monitored"][1]
     return plain_s, monitored_s, monitored_s / plain_s - 1.0
 
 
@@ -106,17 +95,10 @@ def run_checks(length: int = 800, repeats: int = 3,
     # time and count real simulations, not a developer's warm cache.
     with use_cache(None):
         if check_overhead:
-            # Timed first, on a clean heap.  On a loaded host a burst
-            # of interference can still straddle every monitored run of
-            # one measurement, so a reading over budget is re-measured
-            # once with doubled repeats and the better observation wins
-            # — genuine regressions fail both readings.
-            plain_s, monitored_s, overhead = _measure_overhead(
-                cells, repeats)
-            if overhead >= overhead_budget:
-                retry = _measure_overhead(cells, repeats * 2)
-                if retry[2] < overhead:
-                    plain_s, monitored_s, overhead = retry
+            # Timed first, on a clean heap.
+            plain_s, monitored_s, overhead = harness.within_budget(
+                lambda repeats: _measure_overhead(cells, repeats),
+                repeats, lambda reading: reading[2], overhead_budget)
             checks.append((f"monitor overhead < {overhead_budget:.0%}",
                            overhead < overhead_budget,
                            f"{overhead:+.2%} ({plain_s:.3f}s -> "
@@ -186,22 +168,7 @@ def run_checks(length: int = 800, repeats: int = 3,
 
 
 def main() -> int:
-    checks = run_checks()
-    width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    for name, ok, detail in checks:
-        mark = "ok " if ok else "FAIL"
-        line = f"{mark} {name:<{width}}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
-        if not ok:
-            failed += 1
-    if failed:
-        print(f"\n{failed} telemetry check(s) failed")
-        return 1
-    print("\nall telemetry checks passed")
-    return 0
+    return harness.report(run_checks(), "telemetry")
 
 
 if __name__ == "__main__":

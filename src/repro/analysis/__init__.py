@@ -12,8 +12,7 @@ from .experiments import (AblationResult, ErrorLedger, Figure2Result,
                           run_ablation_static, run_one,
                           run_predictor_comparison, run_robustness,
                           run_scaling,
-                          ScalingResult, selected_workloads,
-                          simulate_cell, trace_length)
+                          ScalingResult, selected_workloads, trace_length)
 from .cache import (CacheStats, ResultCache, active_cache, code_version,
                     default_cache, resolve_cache, use_cache)
 from .export import (ablation_rows, figure2_rows, figure3_rows,
@@ -23,7 +22,8 @@ from .metrics import ipcr, mean, pct_change, suite_mean
 from .perf_report import (BENCH_SCHEMA, append_entry, dedup_history,
                           find_regressions, load_history, normalize_entry,
                           render_dashboard, shape_key)
-from .provenance import RunReceipt, config_sha256, git_commit, host_info
+from .provenance import (RunReceipt, config_sha256, git_commit, host_info,
+                         stamp)
 from .parallel import (CellFailure, CellOutcome, SweepCell, WorkerPool,
                        active_pool, cell_seed, is_transient_error,
                        resolve_chunksize, resolve_jobs,
@@ -48,7 +48,7 @@ __all__ = [
     "run_figure5", "run_headline", "run_one",
     "run_predictor_comparison", "run_ablation_static",
     "run_scaling", "ScalingResult", "run_robustness",
-    "simulate_cell", "selected_workloads",
+    "selected_workloads",
     "trace_length",
     "CellFailure", "CellOutcome", "SweepCell", "WorkerPool",
     "active_pool", "cell_seed",
@@ -58,7 +58,7 @@ __all__ = [
     "default_cache", "resolve_cache", "use_cache",
     "BENCH_SCHEMA", "append_entry", "dedup_history", "find_regressions",
     "load_history", "normalize_entry", "render_dashboard", "shape_key",
-    "RunReceipt", "config_sha256", "git_commit", "host_info",
+    "RunReceipt", "config_sha256", "git_commit", "host_info", "stamp",
     "ipcr", "mean", "pct_change", "suite_mean",
     "ablation_rows", "figure2_rows", "figure3_rows", "figure4_rows",
     "figure5_rows", "headline_rows", "interval_rows", "scaling_rows",

@@ -20,8 +20,6 @@ worker processes):
 * ``REPRO_WORKLOADS`` — comma-separated subset of the suite.
 * ``REPRO_JOBS`` — sweep worker processes (default 1 = serial;
   0 = all cores).
-* ``REPRO_CHUNKSIZE`` — cells per worker dispatch (default: a
-  four-chunks-per-worker heuristic; see docs/PERFORMANCE.md).
 * ``REPRO_CACHE`` — opt-in content-addressed result cache directory
   (see :mod:`repro.analysis.cache`).
 
@@ -33,18 +31,15 @@ so worker startup is paid once, not per figure.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import SimResult, make_config, simulate
+from ..core import SimResult
 from ..errors import WorkloadError
-from ..obs.telemetry import active_monitor
 from ..workloads import workload_names, workload_trace
 from .metrics import mean, pct_change
-from .parallel import (SweepCell, active_pool, is_transient_error,
-                       resolve_jobs, resolve_trace_length, run_cells,
-                       simulate_sweep_cell)
+from .parallel import (SweepCell, _execute_cell, resolve_trace_length,
+                       run_cells, simulate_sweep_cell)
 
 __all__ = [
     "trace_length", "selected_workloads", "run_one",
@@ -56,7 +51,7 @@ __all__ = [
     "Figure5Result", "run_figure5",
     "AblationResult", "run_ablation_modified", "run_ablation_rename2",
     "run_ablation_predictor", "run_ablation_free_copies",
-    "run_predictor_comparison", "run_ablation_static", "simulate_cell",
+    "run_predictor_comparison", "run_ablation_static",
     "ScalingResult", "run_scaling", "run_robustness",
     "HeadlineResult", "run_headline",
 ]
@@ -91,11 +86,18 @@ def run_one(workload: str, n_clusters: int, predictor: str = "none",
             steering: str = "baseline", length: Optional[int] = None,
             seed: int = 0, **overrides) -> SimResult:
     """Simulate one (workload, configuration) cell."""
-    cell = SweepCell(key=None, workload=workload, n_clusters=n_clusters,
+    return simulate_sweep_cell(_one_cell(workload, n_clusters, predictor,
+                                         steering, length, seed,
+                                         overrides))
+
+
+def _one_cell(workload: str, n_clusters: int, predictor: str,
+              steering: str, length: Optional[int], seed: int,
+              overrides: dict) -> SweepCell:
+    return SweepCell(key=None, workload=workload, n_clusters=n_clusters,
                      predictor=predictor, steering=steering,
                      length=resolve_trace_length(length), seed=seed,
                      overrides=SweepCell.pack_overrides(overrides))
-    return simulate_sweep_cell(cell)
 
 
 def _cells_for(names: Sequence[str], specs: Sequence[tuple],
@@ -145,18 +147,13 @@ class ErrorLedger:
 
     entries: List[LedgerEntry] = field(default_factory=list)
 
-    def record(self, workload: str, config: str, attempt: int,
-               error: BaseException) -> None:
-        self.record_failure(workload, config, attempt,
-                            type(error).__name__, str(error))
-
     def record_failure(self, workload: str, config: str, attempt: int,
                        error_type: str, message: str) -> None:
         """Record a failure from its already-flattened description.
 
         Worker processes report failures as (type name, message) pairs —
         exception objects do not survive pickling reliably — so this is
-        the form the parallel runner records.
+        the form every runner records.
         """
         self.entries.append(LedgerEntry(
             workload, config, attempt, error_type, message))
@@ -202,17 +199,15 @@ def run_one_safe(workload: str, n_clusters: int, predictor: str = "none",
     Every failed attempt is recorded in *ledger*.  Returns ``None``
     when no attempt succeeded.
     """
-    label = f"{n_clusters}cl/{predictor}/{steering}"
-    for attempt in range(1 + max(0, retries)):
-        try:
-            return run_one(workload, n_clusters, predictor=predictor,
-                           steering=steering, length=length, **overrides)
-        except Exception as error:  # noqa: BLE001 - the sweep must survive
-            if ledger is not None:
-                ledger.record(workload, label, attempt + 1, error)
-            if not is_transient_error(error):
-                return None  # deterministic: replay would fail identically
-    return None
+    cell = _one_cell(workload, n_clusters, predictor, steering, length, 0,
+                     overrides)
+    outcome = _execute_cell(cell, retries)
+    if ledger is not None:
+        for failure in outcome.failures:
+            ledger.record_failure(workload, cell.config_label,
+                                  failure.attempt, failure.error_type,
+                                  failure.message)
+    return outcome.result
 
 
 @dataclass
@@ -243,49 +238,12 @@ def run_graceful_sweep(workloads: Sequence[str] = None,
     is identical regardless of worker count.
     """
     length = resolve_trace_length(length)
-    pool = active_pool()
-    if jobs is None and pool is not None:
-        jobs = pool.jobs
-    jobs = resolve_jobs(jobs)
     names = list(workloads or selected_workloads())
-    result = GracefulSweepResult()
     cells = [SweepCell(key=(name, f"{n}cl/{predictor}/{steering}"),
                        workload=name, n_clusters=n, predictor=predictor,
                        steering=steering, length=length)
              for name in names for n, predictor, steering in configs]
-    if jobs <= 1:
-        # Serial path: route through run_one_safe (same classification,
-        # same ledger shape) so in-process harness hooks apply.  It
-        # bypasses run_cells, so the sweep telemetry is emitted here —
-        # the same event sequence, with sweep_done in a finally block
-        # (crash-flush).
-        monitor = active_monitor()
-        if monitor is not None:
-            monitor.sweep_start("graceful-sweep", cells, jobs=1,
-                                chunksize=1)
-        try:
-            for index, cell in enumerate(cells):
-                if monitor is not None:
-                    monitor.cell_start(index)
-                already = len(result.ledger.entries)
-                start = time.perf_counter()
-                sim = run_one_safe(cell.workload, cell.n_clusters,
-                                   predictor=cell.predictor,
-                                   steering=cell.steering, length=length,
-                                   ledger=result.ledger, retries=retries)
-                if monitor is not None:
-                    for entry in result.ledger.entries[already:]:
-                        monitor.cell_retry(index, entry.attempt,
-                                           entry.error_type)
-                    monitor.cell_done(
-                        index, seconds=time.perf_counter() - start,
-                        ok=sim is not None)
-                if sim is not None:
-                    result.ipc[cell.key] = sim.ipc
-        finally:
-            if monitor is not None:
-                monitor.sweep_done()
-        return result
+    result = GracefulSweepResult()
     sims = run_cells(cells, jobs=jobs, ledger=result.ledger,
                      retries=retries, label="graceful-sweep")
     result.ipc = {key: sim.ipc for key, sim in sims.items()}
@@ -769,14 +727,6 @@ def run_ablation_static(workloads: Sequence[str] = None,
             "comm": mean(c.comm_per_inst for c in row),
             "imbalance": mean(c.imbalance for c in row)}
     return result
-
-
-def simulate_cell(trace, n_clusters: int = 4, predictor: str = "none",
-                  steering: str = "baseline", **overrides):
-    """Simulate a pre-built trace on one 4-cluster configuration."""
-    config = make_config(n_clusters, predictor=predictor,
-                         steering=steering, **overrides)
-    return simulate(list(trace), config)
 
 
 class ScalingResult:

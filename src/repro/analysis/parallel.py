@@ -24,9 +24,8 @@ embarrassingly parallel map.  This module provides that map:
   pool around a batch of drivers (``with WorkerPool(jobs):``) and every
   ``run_cells`` inside reuses its warm workers; cells are dispatched in
   chunks sized by :func:`resolve_chunksize`.
-* :func:`resolve_jobs` / :func:`resolve_trace_length` /
-  :func:`resolve_chunksize` — the only places that read the
-  ``REPRO_JOBS`` / ``REPRO_TRACE_LEN`` / ``REPRO_CHUNKSIZE``
+* :func:`resolve_jobs` / :func:`resolve_trace_length` — the only
+  places that read the ``REPRO_JOBS`` / ``REPRO_TRACE_LEN``
   environment knobs, validating them once at sweep setup (malformed
   values raise :class:`~repro.errors.ConfigError`, not a bare
   ``ValueError``).
@@ -37,11 +36,11 @@ opt-in content-addressed result cache (``repro.analysis.cache``):
 misses, and stores their results — hits and misses are counted on the
 cache object and surfaced by the CLI and benchmarks.
 
-Failure handling matches :func:`repro.analysis.experiments.run_one_safe`:
-the simulator is deterministic, so a cell that failed with a
-*deterministic* error (bad configuration, unknown workload, golden-model
-divergence, deadlock) is ledgered immediately — replaying it would fail
-identically and double the wall-clock cost of the slowest failures.
+Failure handling (:func:`_execute_cell`): the simulator is
+deterministic, so a cell that failed with a *deterministic* error (bad
+configuration, unknown workload, golden-model divergence, deadlock) is
+ledgered immediately — replaying it would fail identically and double
+the wall-clock cost of the slowest failures.
 Only errors not known to be deterministic (the transient bucket:
 harness hiccups, injected-fault trips) are retried.
 """
@@ -158,31 +157,20 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 def resolve_chunksize(chunksize: Optional[int] = None, n_items: int = 0,
                       jobs: int = 1) -> int:
-    """Resolve the per-dispatch cell chunk size once, at sweep setup.
+    """The per-dispatch cell chunk size: explicit *chunksize*, else a
+    heuristic.
 
-    Explicit *chunksize* wins; otherwise ``REPRO_CHUNKSIZE`` is read and
-    validated here.  With neither given, the heuristic splits the sweep
-    into about four chunks per worker — large enough to amortize the
-    pickle + IPC round-trip that dominated per-cell dispatch at the
-    default ``chunksize=1`` (the BENCH_sweep.json ``speedup: 0.911``
-    regression), small enough that a straggler chunk cannot idle the
-    other workers for long.
+    The heuristic splits the sweep into about four chunks per worker —
+    large enough to amortize the pickle + IPC round-trip that dominated
+    per-cell dispatch at ``chunksize=1`` (the BENCH_sweep.json
+    ``speedup: 0.911`` regression), small enough that a straggler chunk
+    cannot idle the other workers for long.
     """
-    if chunksize is None:
-        raw = os.environ.get("REPRO_CHUNKSIZE")
-        if raw is None:
-            if jobs < 1 or n_items < 1:
-                return 1
-            return max(1, -(-n_items // (jobs * 4)))
-        try:
-            chunksize = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_CHUNKSIZE must be an integer cell count, "
-                f"got {raw!r}") from None
-    if chunksize < 1:
-        raise ConfigError(f"chunk size must be >= 1, got {chunksize}")
-    return chunksize
+    if chunksize is not None:
+        return chunksize
+    if jobs < 1 or n_items < 1:
+        return 1
+    return max(1, -(-n_items // (jobs * 4)))
 
 
 #: Stack of pools entered via ``with WorkerPool(...)`` (innermost last).
@@ -373,7 +361,7 @@ class SweepCell:
 
     @property
     def config_label(self) -> str:
-        """The ledger's configuration label (matches ``run_one_safe``)."""
+        """The configuration label of this cell's ledger entries."""
         return f"{self.n_clusters}cl/{self.predictor}/{self.steering}"
 
 
@@ -413,7 +401,7 @@ def simulate_sweep_cell(cell: SweepCell) -> SimResult:
 
     This is the single simulation path shared by the serial and the
     parallel runners — and by :func:`repro.analysis.experiments.run_one`
-    — so the three are metric-identical by construction.  Cells with a
+    — so they are metric-identical by construction.  Cells with a
     ``sampling`` config route through
     :func:`~repro.analysis.sampling.simulate_sampled` on the workload
     *program* (the trace is never materialized) and return a
@@ -513,7 +501,6 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
               timings: Optional[Dict[Any, float]] = None,
               pool: Optional[WorkerPool] = None,
               cache: Optional[ResultCache] = None,
-              chunksize: Optional[int] = None,
               label: str = "sweep",
               receipt_path=None) -> Dict[Any, SimResult]:
     """Execute *cells* and return ``{cell.key: SimResult}``.
@@ -543,9 +530,6 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
             Cells found in the cache are never dispatched; workers
             store fresh successful results back themselves (the parent
             folds their store counts into the cache's counters).
-        chunksize: cells per worker dispatch; ``None`` defers to
-            ``REPRO_CHUNKSIZE``, then :func:`resolve_chunksize`'s
-            about-four-chunks-per-worker heuristic.
         label: the sweep's telemetry label — names this sweep in
             progress lines, event logs and receipts.
         receipt_path: when given, a
@@ -573,18 +557,16 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
         with use_monitor(SweepMonitor()) as monitor:
             return _run_cells_monitored(
                 cells, jobs, ledger, retries, timings, pool, cache,
-                chunksize, label, receipt_path, monitor)
+                label, receipt_path, monitor)
     return _run_cells_monitored(cells, jobs, ledger, retries, timings,
-                                pool, cache, chunksize, label,
-                                receipt_path, monitor)
+                                pool, cache, label, receipt_path, monitor)
 
 
 def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
                          ledger, retries: int,
                          timings: Optional[Dict[Any, float]],
                          pool: Optional[WorkerPool],
-                         cache: Optional[ResultCache],
-                         chunksize: Optional[int], label: str,
+                         cache: Optional[ResultCache], label: str,
                          receipt_path,
                          monitor: Optional[SweepMonitor]
                          ) -> Dict[Any, SimResult]:
@@ -619,7 +601,7 @@ def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
 
     record = None
     if monitor is not None:
-        chunk_used = (resolve_chunksize(chunksize, len(pending), jobs)
+        chunk_used = (resolve_chunksize(None, len(pending), jobs)
                       if jobs > 1 and len(pending) > 1 else 1)
         record = monitor.sweep_start(label, cells, jobs=jobs,
                                      chunksize=chunk_used)
@@ -633,8 +615,8 @@ def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
             items = [(cells[index], retries, cache_root, keys[index])
                      for index in pending]
             for index, outcome in dispatch(
-                    _pool_worker, items, jobs, pool=pool,
-                    chunksize=chunksize, monitor=monitor, indices=pending):
+                    _pool_worker, items, jobs, pool=pool, monitor=monitor,
+                    indices=pending):
                 outcomes[index] = outcome
                 _note_outcome(monitor, index, outcome)
                 # Fold worker-side cache stores into the sweep cache's

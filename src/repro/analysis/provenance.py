@@ -46,7 +46,7 @@ from ..obs.schema import RECEIPT_SCHEMA
 from ..obs.telemetry import CellTelemetry, SweepMonitor
 
 __all__ = ["RECEIPT_SCHEMA", "RunReceipt", "config_sha256", "git_commit",
-           "host_info"]
+           "host_info", "stamp"]
 
 #: Receipt fields (top-level or per-cell) that legitimately differ
 #: between two runs of the same sweep: wall-clock, host identity,
@@ -108,6 +108,23 @@ def host_info() -> Dict[str, Any]:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+    }
+
+
+def stamp() -> Dict[str, Any]:
+    """Which sources ran, when and where: the one provenance stamp.
+
+    ``commit`` (:func:`git_commit`), ``timestamp_utc`` (ISO-8601 UTC,
+    second resolution) and the :func:`host_info` fields.  Benchmark
+    entries in ``BENCH_sweep.json`` and run receipts both take theirs
+    from here, so a result can be tied to the change and the host that
+    produced it.
+    """
+    return {
+        "commit": git_commit(),
+        "timestamp_utc": datetime.now(timezone.utc)
+        .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        **host_info(),
     }
 
 
@@ -173,13 +190,13 @@ class RunReceipt:
             cache_enabled = bool(hits or stores)
         if label is None:
             label = sweeps[0].label if sweeps else "sweep"
+        host = stamp()  # the host_info() fields once these two are out
         return cls(
             label=label,
-            created_utc=datetime.now(timezone.utc)
-            .strftime("%Y-%m-%dT%H:%M:%SZ"),
+            created_utc=host.pop("timestamp_utc"),
             code_version=code_version(),
-            commit=git_commit(),
-            host=host_info(),
+            commit=host.pop("commit"),
+            host=host,
             run={
                 "jobs": max((sweep.jobs for sweep in sweeps), default=1),
                 "chunksize": max((sweep.chunksize for sweep in sweeps),

@@ -28,8 +28,7 @@ Commands:
 
 Every figure command honours ``--workloads``, ``--length``, ``--jobs``
 and ``--cache-dir`` (and the ``REPRO_WORKLOADS`` / ``REPRO_TRACE_LEN``
-/ ``REPRO_JOBS`` / ``REPRO_CHUNKSIZE`` / ``REPRO_CACHE`` environment
-variables).  A figure command holds one shared worker pool for its
+/ ``REPRO_JOBS`` / ``REPRO_CACHE`` environment variables).  A figure command holds one shared worker pool for its
 whole run, so multi-sweep commands (``ablations``) pay worker startup
 once.  ``--progress`` streams live sweep progress to stderr,
 ``--telemetry-out`` mirrors the typed run events to a JSONL file

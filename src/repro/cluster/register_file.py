@@ -38,12 +38,6 @@ class RegisterFile:
         #: triggers a harmless extra scan, never a wrong skip.
         self.waiters: Dict[int, List[object]] = {}
 
-    def add_waiter(self, preg: int, uop) -> None:
-        """Park *uop* until *preg*'s ready cycle is (re)scheduled."""
-        waiters = self.waiters.setdefault(preg, [])
-        if not waiters or waiters[-1] is not uop:
-            waiters.append(uop)
-
     def set_ready(self, preg: int, cycle: int) -> None:
         """Value of *preg* becomes usable at *cycle*."""
         self.ready[preg] = cycle

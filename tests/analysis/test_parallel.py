@@ -11,7 +11,8 @@ from repro.analysis.experiments import (ErrorLedger, run_graceful_sweep,
 from repro.analysis.parallel import (SweepCell, WorkerPool, active_pool,
                                      cell_seed, dispatch, is_transient_error,
                                      resolve_chunksize, resolve_jobs,
-                                     resolve_trace_length, run_cells)
+                                     resolve_trace_length, run_cells,
+                                     simulate_sweep_cell)
 from repro.errors import (ConfigError, DeadlockError, DivergenceError,
                           SimulationError, WorkloadError)
 
@@ -119,33 +120,18 @@ class TestChunkedDispatch:
 
     def test_explicit_chunksize_changes_nothing(self):
         cells = self._wide_cells(12, include_failures=False)
-        serial = run_cells(cells, jobs=1)
+        serial = [simulate_sweep_cell(cell).to_dict() for cell in cells]
         for chunksize in (1, 3, 64):
-            chunked = run_cells(cells, jobs=2, chunksize=chunksize)
-            assert list(serial.keys()) == list(chunked.keys())
-            for key in serial:
-                assert serial[key].to_dict() == chunked[key].to_dict()
+            chunked = [result.to_dict() for _, result in dispatch(
+                simulate_sweep_cell, cells, 2, chunksize=chunksize)]
+            assert chunked == serial
 
     def test_heuristic_four_chunks_per_worker(self):
         assert resolve_chunksize(None, 48, 2) == 6
         assert resolve_chunksize(None, 48, 6) == 2
         assert resolve_chunksize(None, 3, 8) == 1
         assert resolve_chunksize(None, 0, 0) == 1
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "17")
-        assert resolve_chunksize(None, 48, 2) == 17
-        assert resolve_chunksize(5, 48, 2) == 5
-
-    def test_malformed_env_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "lots")
-        with pytest.raises(ConfigError, match="REPRO_CHUNKSIZE"):
-            resolve_chunksize(None, 10, 2)
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-        with pytest.raises(ConfigError, match=">= 1"):
-            resolve_chunksize(None, 10, 2)
-        with pytest.raises(ConfigError, match=">= 1"):
-            resolve_chunksize(-3, 10, 2)
+        assert resolve_chunksize(5, 48, 2) == 5  # explicit wins
 
 
 class TestWorkerPool:
@@ -327,15 +313,15 @@ class TestErrorClassification:
         assert is_transient_error(RuntimeError("foreign"))
 
     def test_run_one_safe_does_not_retry_deterministic(self, monkeypatch):
-        from repro.analysis import experiments
+        from repro.analysis import parallel
 
         calls = {"n": 0}
 
-        def poisoned(workload, n_clusters, **kwargs):
+        def poisoned(cell):
             calls["n"] += 1
             raise WorkloadError("deterministically broken")
 
-        monkeypatch.setattr(experiments, "run_one", poisoned)
+        monkeypatch.setattr(parallel, "simulate_sweep_cell", poisoned)
         ledger = ErrorLedger()
         result = run_one_safe("rawcaudio", 2, ledger=ledger, retries=3)
         assert result is None

@@ -1,18 +1,24 @@
 """Unit coverage for the wall-clock benchmark's reporting helpers.
 
 The full benchmark is exercised by ``make bench-smoke`` /
-``make bench-wallclock``; here we only pin the arithmetic that feeds
-BENCH_sweep.json, in particular that a degenerate (zero-duration)
-parallel timing yields *no* speedup figure rather than a fake 0.0x.
+``make bench-wallclock``; here we only pin what feeds
+BENCH_sweep.json: the arithmetic (in particular that a degenerate,
+zero-duration parallel timing yields *no* speedup figure rather than a
+fake 0.0x), the provenance stamp and the worker count read from
+``REPRO_JOBS``.
 """
 
 import pathlib
 import sys
 
+import pytest
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH))
 
-from bench_wallclock import provenance, rate_of, speedup_of  # noqa: E402
+from bench_wallclock import rate_of, speedup_of, sweep_jobs  # noqa: E402
+from repro.analysis.provenance import host_info, stamp  # noqa: E402
+from repro.errors import ConfigError  # noqa: E402
 
 
 def test_speedup_is_ratio():
@@ -23,8 +29,8 @@ def test_provenance_fields():
     import platform
     import re
 
-    info = provenance()
-    assert set(info) == {"commit", "timestamp_utc", "python"}
+    info = stamp()
+    assert set(info) == {"commit", "timestamp_utc"} | set(host_info())
     assert info["python"] == platform.python_version()
     # ISO-8601 UTC, second resolution.
     assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z",
@@ -45,3 +51,18 @@ def test_zero_parallel_time_yields_no_speedup():
 def test_rate_guards_zero_duration():
     assert rate_of(1000, 2.0) == 500.0
     assert rate_of(1000, 0.0) is None
+
+
+def test_jobs_default_to_all_cores(monkeypatch):
+    import os
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert sweep_jobs() == (os.cpu_count() or 1)
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    assert sweep_jobs() == 1
+
+
+def test_malformed_jobs_is_a_named_config_error(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "many")
+    with pytest.raises(ConfigError,
+                       match="REPRO_JOBS must be an integer job count"):
+        sweep_jobs()
